@@ -52,7 +52,7 @@ pub use parsim::{
     FabricScenario, FabricSweepReport,
 };
 pub use scenario::{
-    by_name, library, ring_allreduce_schedule, run_scenario, run_vni_stress, stress_by_name,
+    by_name, library, run_scenario, run_vni_stress, stress_by_name,
     stress_library, AutoscalePlan, BurstPlan, ClaimPlan, ClassTraffic, Fault, JobPlan,
     JobTraffic, Scenario, ScenarioReport, ServicePlan, ServiceReport, TrafficPattern,
     TrafficPlan, VniMode, VniStressReport, VniStressScenario,

@@ -36,7 +36,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Serialize;
 use shs_des::{Sim, SimDur, SimTime};
-use shs_fabric::{FaultKind, RoutingPolicy, SwitchId, TopologySpec, TrafficClass, TransferOutcome, Vni};
+use shs_fabric::{
+    ring_allreduce_schedule, FaultKind, RoutingPolicy, SwitchId, TopologySpec, TrafficClass,
+    TransferOutcome, Vni,
+};
 use shs_k8s::{kinds, spec_of, status_of, KubeletParams, PodSpec, PodStatus};
 
 use crate::cluster::{alpine, Cluster, ClusterConfig, PodHandle};
@@ -906,39 +909,6 @@ fn traffic_round(sim: &mut Sim<World>, ji: usize) {
     if !complete && !past_delete && now + tp.interval <= horizon {
         sim.after(tp.interval, move |s| traffic_round(s, ji));
     }
-}
-
-/// The ring-allreduce schedule [`TrafficPattern::Allreduce`] executes:
-/// one inner `Vec` of `(src rank, dst rank, chunk bytes)` per step —
-/// `n−1` reduce-scatter steps then `n−1` allgather steps, chunks split
-/// at byte boundaries `⌊i·size/n⌋`.
-///
-/// This deliberately **mirrors** `shs_mpi::ring_allreduce_schedule`
-/// (this crate sits below `shs-mpi` in the dependency layering, so the
-/// code cannot be shared); a test in `shs-harness`, which depends on
-/// both, pins the two schedules byte-for-byte.
-pub fn ring_allreduce_schedule(n: usize, size: u64) -> Vec<Vec<(usize, usize, u64)>> {
-    let chunk = |idx: usize| -> u64 {
-        let (n, idx) = (n as u64, (idx % n) as u64);
-        (idx + 1) * size / n - idx * size / n
-    };
-    let mut steps = Vec::with_capacity(2 * (n.saturating_sub(1)));
-    for phase in 0..2usize {
-        for s in 0..n - 1 {
-            steps.push(
-                (0..n)
-                    .map(|i| {
-                        let idx = match phase {
-                            0 => (i + n - s) % n,
-                            _ => (i + 1 + n - s) % n,
-                        };
-                        (i, (i + 1) % n, chunk(idx))
-                    })
-                    .collect(),
-            );
-        }
-    }
-    steps
 }
 
 fn drain_ev(sim: &mut Sim<World>, node_idx: usize) {

@@ -9,9 +9,15 @@
 //! every library report at seed 42: the twelve job-only reports were
 //! generated *before* the serving plane existed, so matching them today
 //! proves that merging Services/PLEG changed no byte of any pre-existing
-//! report (no new JSON fields, no counter drift).
+//! report (no new JSON fields, no counter drift). The four parallel
+//! fabric sweeps are frozen the same way under `tests/fixtures/sweeps/`,
+//! so the sharded engine's routing and per-hop timing are pinned byte
+//! for byte, not only by thread-count invariance.
 
-use slingshot_k8s::{by_name, library, run_scenario, run_vni_stress, VniStressScenario};
+use slingshot_k8s::{
+    by_name, library, parallel_library, run_fabric_scenario, run_scenario, run_vni_stress,
+    VniStressScenario,
+};
 
 /// Full cluster scenarios through the DES engine: only
 /// `ClusterConfig::vni_shards` varies.
@@ -47,6 +53,25 @@ fn library_reports_match_their_committed_fixtures() {
         seen += 1;
     }
     assert_eq!(seen, 15, "every library scenario has a fixture");
+}
+
+/// Every parallel fabric sweep at seed 42 (run on 2 worker threads)
+/// must match its committed fixture byte for byte: route selection,
+/// the failure fallback chain and the cut-through timing of the
+/// sharded engine all reach these reports.
+#[test]
+fn sweep_reports_match_their_committed_fixtures() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sweeps");
+    let mut seen = 0;
+    for sc in parallel_library(42) {
+        let expected = std::fs::read_to_string(dir.join(format!("{}.json", sc.name)))
+            .unwrap_or_else(|e| panic!("fixture for {}: {e}", sc.name));
+        let got = serde_json::to_string_pretty(&run_fabric_scenario(&sc, 2)).expect("serializes")
+            + "\n";
+        assert_eq!(got, expected, "{} diverged from its committed fixture", sc.name);
+        seen += 1;
+    }
+    assert_eq!(seen, 4, "every parallel sweep has a fixture");
 }
 
 /// Job-only scenarios must not grow a `services` key (the serde

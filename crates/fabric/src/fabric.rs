@@ -17,101 +17,13 @@ use std::collections::BTreeMap;
 
 use shs_des::{SimDur, SimTime};
 
-use crate::faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
+use crate::faults::{FaultKind, LivenessMask};
+use crate::link::{LinkState, TrunkClassCounters, TrunkTable};
 use crate::packet::{CostModel, Packet};
+use crate::router::Router;
 use crate::switch::{DropReason, Switch, SwitchConfig};
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::types::{NicAddr, PortId, SwitchId, TrafficClass, Vni};
-
-/// Per-port edge-link occupancy (full duplex: separate up/down
-/// directions), with the legacy scalar busy-until semantics. Shared
-/// with the sharded engine in [`crate::shardsim`], which models the
-/// same edge links per group.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LinkState {
-    /// Node→switch direction busy until this instant.
-    pub(crate) up_busy: SimTime,
-    /// Switch→node direction busy until this instant.
-    pub(crate) down_busy: SimTime,
-}
-
-/// Per-traffic-class counters of one directed trunk link (or, via
-/// [`Fabric::trunk_class_totals`], of all of them).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrunkClassCounters {
-    /// Messages that traversed the link on this class.
-    pub messages: u64,
-    /// Payload bytes carried.
-    pub payload_bytes: u64,
-    /// Messages dropped because the class queue exceeded the cost
-    /// model's `trunk_queue_ns` bound.
-    pub congestion_drops: u64,
-    /// Worst queueing delay a message of this class accepted (ns).
-    pub queued_ns_max: u64,
-}
-
-/// One directed inter-switch link: per-class busy horizons (the
-/// weighted-sharing state) plus per-class counters. The timing math
-/// lives in [`TrunkState::traverse`] so the serial [`Fabric`] and the
-/// sharded engine ([`crate::shardsim`]) stay bit-identical per hop.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TrunkState {
-    cls_busy: [SimTime; 4],
-    pub(crate) counters: [TrunkClassCounters; 4],
-}
-
-impl TrunkState {
-    /// One message crossing this directed trunk: the per-class
-    /// finite-queue check plus weighted-processor-sharing bookkeeping.
-    /// Returns `(start, finish)` — the instants the head enters the
-    /// link and the last byte clears it at the class's weighted share
-    /// of the link rate — or `Err(queued_ns)` when the class queue
-    /// exceeds `queue_bound_ns` (the congestion drop is already
-    /// counted on this trunk; the caller books tenant/switch counters).
-    pub(crate) fn traverse(
-        &mut self,
-        tc: TrafficClass,
-        ser_ns: u64,
-        len: u64,
-        head_t: SimTime,
-        queue_bound_ns: u64,
-    ) -> Result<(SimTime, SimTime), u64> {
-        let cls = tc.index();
-        let start = head_t.max(self.cls_busy[cls]);
-        let queued_ns = (start - head_t).as_nanos();
-        if queued_ns > queue_bound_ns {
-            self.counters[cls].congestion_drops += 1;
-            return Err(queued_ns);
-        }
-        // Weighted processor sharing across the classes backlogged at
-        // `start`: class `tc` drains at weight(tc)/Σ weights of the
-        // link rate, so its serialization stretches by the inverse
-        // share (1x when it has the trunk to itself).
-        let active: u64 = TrafficClass::ALL
-            .iter()
-            .filter(|c| c.index() == cls || self.cls_busy[c.index()] > start)
-            .map(|c| c.weight() as u64)
-            .sum();
-        let ser_eff = SimDur::from_nanos(ser_ns * active / tc.weight() as u64);
-        self.cls_busy[cls] = start + ser_eff;
-        self.counters[cls].messages += 1;
-        self.counters[cls].payload_bytes += len;
-        self.counters[cls].queued_ns_max = self.counters[cls].queued_ns_max.max(queued_ns);
-        Ok((start, start + ser_eff))
-    }
-
-    /// Current queue depth of one class in ns: how long a message of
-    /// this class injected at `now` would wait before its head enters
-    /// the link. The live-occupancy signal UGAL routing decides on.
-    pub(crate) fn queue_ns(&self, tc: TrafficClass, now: SimTime) -> u64 {
-        let busy = self.cls_busy[tc.index()];
-        if busy > now {
-            (busy - now).as_nanos()
-        } else {
-            0
-        }
-    }
-}
 
 /// Outcome of a message-level transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,12 +115,8 @@ pub struct Fabric {
     /// Edge-link occupancy, indexed `[switch][edge port]` (rows grow on
     /// attach; a reattached port's slot is reset to a fresh link).
     links: Vec<Vec<LinkState>>,
-    /// Directed trunk-link state, in [`Topology::trunk_links`] order.
-    trunks: Vec<TrunkState>,
-    /// Dense `(from, to) → trunks` index (`from * n + to`), `u32::MAX`
-    /// where no trunk exists. Turns the per-hop trunk lookup into two
-    /// array indexings.
-    trunk_idx: Vec<u32>,
+    /// Every directed trunk link, in [`Topology::trunk_links`] order.
+    trunks: TrunkTable,
     /// NIC attachment points, sorted by NIC (binary search; attach and
     /// detach are cold, lookups are per-transfer).
     ports_of: Vec<(NicAddr, (usize, PortId))>,
@@ -220,13 +128,8 @@ pub struct Fabric {
     /// small and reads never iterate).
     traffic: Vec<(Vni, VniTraffic)>,
     audit: Vec<FabricAuditEvent>,
-    /// Runtime fault state. Empty on a healthy fabric — route selection
-    /// then takes the interned fast path untouched.
-    liveness: LivenessMask,
-    /// BFS repair routes computed since the last fault event, keyed by
-    /// `(src switch, dst switch)`; `None` caches "partitioned". Cleared
-    /// by [`Fabric::apply_fault`].
-    repair_cache: BTreeMap<(u32, u32), Option<Vec<SwitchId>>>,
+    /// Route selection: the liveness mask and the repair cache.
+    router: Router,
     /// ECN marks awaiting pickup by the sending NIC, per source NIC.
     /// Consumed (and cleared) by [`Fabric::take_ecn_marks`].
     ecn_feedback: BTreeMap<NicAddr, u64>,
@@ -259,25 +162,19 @@ impl Fabric {
     fn build(model: CostModel, topo: Topology, switch_config: SwitchConfig) -> Self {
         let n = topo.switch_count();
         let switches = (0..n).map(|_| Switch::new(switch_config.clone())).collect();
-        let links = topo.trunk_links();
-        let mut trunk_idx = vec![u32::MAX; n * n];
-        for (i, &(a, b)) in links.iter().enumerate() {
-            trunk_idx[a.0 * n + b.0] = i as u32;
-        }
+        let trunks = TrunkTable::new(n, &topo.trunk_links());
         Fabric {
             model,
             topo,
             switches,
             links: vec![Vec::new(); n],
-            trunks: vec![TrunkState::default(); links.len()],
-            trunk_idx,
+            trunks,
             ports_of: Vec::new(),
             next_port: vec![0; n],
             free_ports: vec![Vec::new(); n],
             traffic: Vec::new(),
             audit: Vec::new(),
-            liveness: LivenessMask::default(),
-            repair_cache: BTreeMap::new(),
+            router: Router::default(),
             ecn_feedback: BTreeMap::new(),
         }
     }
@@ -448,40 +345,24 @@ impl Fabric {
 
     /// Per-class counters of one directed trunk link, if it exists.
     pub fn trunk_counters(&self, from: SwitchId, to: SwitchId) -> Option<&[TrunkClassCounters; 4]> {
-        let n = self.topo.switch_count();
-        match self.trunk_idx.get(from.0 * n + to.0) {
-            Some(&i) if i != u32::MAX => Some(&self.trunks[i as usize].counters),
-            _ => None,
-        }
+        self.trunks.counters(from, to)
     }
 
     /// Per-class counters summed over every directed trunk link, in
     /// [`TrafficClass::index`] order.
     pub fn trunk_class_totals(&self) -> [TrunkClassCounters; 4] {
-        let mut out = [TrunkClassCounters::default(); 4];
-        for trunk in self.trunks.iter() {
-            for (acc, c) in out.iter_mut().zip(trunk.counters.iter()) {
-                acc.messages += c.messages;
-                acc.payload_bytes += c.payload_bytes;
-                acc.congestion_drops += c.congestion_drops;
-                acc.queued_ns_max = acc.queued_ns_max.max(c.queued_ns_max);
-            }
-        }
-        out
+        self.trunks.class_totals()
     }
 
     /// Apply a runtime fault event (scheduled through the DES by the
-    /// scenario engine): the liveness mask flips and every cached
-    /// repair route is invalidated. Interned route arenas are never
-    /// rebuilt — dead candidates are filtered per transfer.
+    /// scenario engine); see [`Router::apply_fault`].
     pub fn apply_fault(&mut self, kind: FaultKind) {
-        self.liveness.apply(kind);
-        self.repair_cache.clear();
+        self.router.apply_fault(kind);
     }
 
     /// The current liveness mask (empty on a healthy fabric).
     pub fn liveness(&self) -> &LivenessMask {
-        &self.liveness
+        self.router.liveness()
     }
 
     /// Take (and clear) the ECN marks accrued against `nic`'s messages
@@ -510,7 +391,7 @@ impl Fabric {
     }
 
     /// Message-level transfer: enforcement at the source and destination
-    /// edge switches, deterministic routing over the topology, link
+    /// edge switches, route selection by the fabric's [`Router`], link
     /// reservation hop by hop, and the arrival time of the last byte
     /// (cut-through pipelining: end-to-end time ≈ one serialization of
     /// the message plus per-hop constants, plus any queueing).
@@ -557,137 +438,64 @@ impl Fabric {
             return TransferOutcome::Dropped(reason);
         }
 
-        let wire = self.model.wire_bytes(len);
-        let ser_ns = self.model.serialize_ns(wire);
+        let ser_ns = self.model.serialize_ns(self.model.wire_bytes(len));
         let ser = SimDur::from_nanos(ser_ns);
-        let hop = SimDur::from_nanos(self.model.hop_latency_ns);
-        let prop = SimDur::from_nanos(self.model.propagation_ns);
-
-        let up = &mut self.links[ssw][sport.0];
-        let t0 = now.max(up.up_busy);
-        up.up_busy = t0 + ser;
-        let src_done = t0 + ser;
-
-        // Head reaches the egress side of the first switch (cut-through).
-        let mut head_t = t0 + prop + hop;
+        let mut ct = self.links[ssw][sport.0].launch(now, ser, &self.model);
+        let src_done = ct.tail;
 
         let pkts = self.model.packets_for(len);
         let mut hops = 1u64;
-        // Last byte's progress through the pipeline: a trunk carrying the
-        // message at a weighted share of the link rate holds the tail
-        // back, so contended classes see their serialization stretch in
-        // the reported arrival, not only in the trunk's busy horizon.
-        let mut tail_t = src_done;
         // ECN marks accrued on this message (a trunk accepted it after
         // queueing past `ecn_threshold_ns`) and whether the route was a
         // failure reroute; both are booked per tenant at delivery.
         let mut ecn_marks = 0u64;
         let mut rerouted = false;
         if ssw == dsw {
-            // Same-switch fast path (every legacy single-switch fabric):
-            // no route to compute, no trunks to schedule, no allocation.
+            // Same-switch fast path (every single-switch fabric): no
+            // route to select, no trunks to schedule.
             self.switches[ssw].note_forwarded(pkts, len);
         } else {
+            // The route is chosen once at injection and borrowed from
+            // the interned arenas (or the repair cache): no allocation.
+            let Some((path, rr)) = self.router.select(
+                &self.topo,
+                &self.trunks,
+                SwitchId(ssw),
+                SwitchId(dsw),
+                tc,
+                msg_id,
+                now,
+                self.model.adaptive_bias_ns,
+            ) else {
+                return TransferOutcome::Dropped(self.switches[ssw].note_drop(DropReason::NoRoute));
+            };
+            rerouted = rr;
+            hops = path.len() as u64;
             // Trunk hops: per-class weighted scheduling, finite queue.
             // Forwarded counts are booked progressively — a switch counts
             // the message only once it has cleared that switch's outbound
             // trunk — so per-switch and per-trunk totals reconcile even
-            // when a later hop congestion-drops the message. Minimal
-            // routing walks the precomputed next-hop table directly;
-            // Valiant copies its interned detour route onto the stack
-            // (≤ 6 switch ids). Neither allocates.
-            let step = SimDur::from_nanos(self.model.propagation_ns + self.model.hop_latency_ns);
-            let healthy = self.liveness.is_empty();
-            match self.topo.policy() {
-                RoutingPolicy::Minimal if healthy => {
-                    let mut a = ssw;
-                    while a != dsw {
-                        let b = self.topo.next_hop_min(SwitchId(a), SwitchId(dsw)).0;
-                        let (start, finish) =
-                            match self.traverse_trunk(a, b, tc, ser_ns, len, vni, head_t) {
-                                Ok(t) => t,
-                                Err(outcome) => return outcome,
-                            };
-                        if (start - head_t).as_nanos() > self.model.ecn_threshold_ns {
-                            ecn_marks += 1;
-                        }
-                        head_t = start + step;
-                        tail_t = (tail_t + prop).max(finish);
-                        self.switches[a].note_forwarded(pkts, len);
-                        hops += 1;
-                        a = b;
-                    }
-                }
-                RoutingPolicy::Valiant if healthy => {
-                    let mut route_buf = [SwitchId(0); 6];
-                    let cached = self.topo.route(SwitchId(ssw), SwitchId(dsw), msg_id);
-                    let path = &mut route_buf[..cached.len()];
-                    path.copy_from_slice(cached);
-                    hops = path.len() as u64;
-                    for w in path.windows(2) {
-                        let (a, b) = (w[0].0, w[1].0);
-                        let (start, finish) =
-                            match self.traverse_trunk(a, b, tc, ser_ns, len, vni, head_t) {
-                                Ok(t) => t,
-                                Err(outcome) => return outcome,
-                            };
-                        if (start - head_t).as_nanos() > self.model.ecn_threshold_ns {
-                            ecn_marks += 1;
-                        }
-                        head_t = start + step;
-                        tail_t = (tail_t + prop).max(finish);
+            // when a later hop congestion-drops the message.
+            for w in path.windows(2) {
+                let a = w[0].0;
+                match self.trunks.traverse(w[0], w[1], tc, ser_ns, len, &mut ct, &self.model) {
+                    Ok(queued_ns) => {
+                        ecn_marks += (queued_ns > self.model.ecn_threshold_ns) as u64;
                         self.switches[a].note_forwarded(pkts, len);
                     }
-                }
-                _ => {
-                    // Adaptive routing, or any policy on a degraded
-                    // fabric: pick the route once at injection (UGAL
-                    // choice and/or deterministic failure fallback),
-                    // then walk it like the interned-route path above.
-                    let mut route_buf = [SwitchId(0); MAX_REPAIR_PATH];
-                    let Some((plen, rr)) = self.select_route(
-                        SwitchId(ssw),
-                        SwitchId(dsw),
-                        tc,
-                        msg_id,
-                        now,
-                        &mut route_buf,
-                    ) else {
+                    Err(()) => {
+                        self.traffic_mut(vni).congestion_drops += 1;
                         return TransferOutcome::Dropped(
-                            self.switches[ssw].note_drop(DropReason::NoRoute),
+                            self.switches[a].note_drop(DropReason::Congested),
                         );
-                    };
-                    rerouted = rr;
-                    hops = plen as u64;
-                    for i in 1..plen {
-                        let (a, b) = (route_buf[i - 1].0, route_buf[i].0);
-                        let (start, finish) =
-                            match self.traverse_trunk(a, b, tc, ser_ns, len, vni, head_t) {
-                                Ok(t) => t,
-                                Err(outcome) => return outcome,
-                            };
-                        if (start - head_t).as_nanos() > self.model.ecn_threshold_ns {
-                            ecn_marks += 1;
-                        }
-                        head_t = start + step;
-                        tail_t = (tail_t + prop).max(finish);
-                        self.switches[a].note_forwarded(pkts, len);
                     }
                 }
             }
-
             // The destination edge switch forwards onto its downlink.
             self.switches[dsw].note_forwarded(pkts, len);
         }
 
-        let down = &mut self.links[dsw][dport.0];
-        let t1 = head_t.max(down.down_busy);
-        down.down_busy = t1 + ser;
-        // The last byte reaches the NIC after both the downlink's own
-        // serialization and the slowest upstream stage have released it.
-        // On a single switch `t1 + ser` always dominates (t1 ≥ t0 + prop
-        // + hop), so the legacy formula is preserved bit for bit.
-        let arrival = (t1 + ser).max(tail_t + prop) + prop;
+        let arrival = self.links[dsw][dport.0].deliver(ct, ser, &self.model);
 
         let t = self.traffic_mut(vni);
         t.messages += 1;
@@ -702,144 +510,7 @@ impl Fabric {
         TransferOutcome::Delivered { arrival, src_done }
     }
 
-    /// Route selection for the adaptive/degraded path of
-    /// [`Fabric::transfer`]: the policy's primary route (for
-    /// [`RoutingPolicy::Adaptive`], the UGAL choice between minimal and
-    /// the salted Valiant detour) when it is fully live, else the
-    /// deterministic failure fallback — minimal, then every Valiant salt
-    /// class in `salt`-relative order, then a cached BFS repair over the
-    /// live graph. Copies the chosen route into `buf` and returns its
-    /// length plus whether it was a failure reroute; `None` means the
-    /// pair is partitioned (the caller drops `NoRoute`).
-    fn select_route(
-        &mut self,
-        ssw: SwitchId,
-        dsw: SwitchId,
-        tc: TrafficClass,
-        salt: u64,
-        now: SimTime,
-        buf: &mut [SwitchId; MAX_REPAIR_PATH],
-    ) -> Option<(usize, bool)> {
-        let (plen, live) = {
-            let primary: &[SwitchId] = match self.topo.policy() {
-                RoutingPolicy::Minimal => self.topo.route_minimal(ssw, dsw),
-                RoutingPolicy::Valiant => self.topo.route_valiant(ssw, dsw, salt),
-                RoutingPolicy::Adaptive => {
-                    let min = self.topo.route_minimal(ssw, dsw);
-                    let val = self.topo.route_valiant(ssw, dsw, salt);
-                    if self.ugal_prefers_valiant(min, val, tc, now) {
-                        val
-                    } else {
-                        min
-                    }
-                }
-            };
-            buf[..primary.len()].copy_from_slice(primary);
-            (primary.len(), self.liveness.route_live(primary))
-        };
-        if live {
-            return Some((plen, false));
-        }
-        // Deterministic fallback order, independent of queue state so
-        // serial and sharded runs agree: the minimal route first.
-        let min = self.topo.route_minimal(ssw, dsw);
-        if self.liveness.route_live(min) {
-            buf[..min.len()].copy_from_slice(min);
-            return Some((min.len(), true));
-        }
-        // Then every Valiant salt class, starting from the message's own
-        // and wrapping (a no-op below 3 groups, where every class
-        // degrades to the minimal route just rejected).
-        let classes = self.topo.salt_classes() as u64;
-        if self.topo.groups() >= 3 {
-            for k in 0..classes {
-                let val = self.topo.route_valiant(ssw, dsw, (salt + k) % classes);
-                if self.liveness.route_live(val) {
-                    buf[..val.len()].copy_from_slice(val);
-                    return Some((val.len(), true));
-                }
-            }
-        }
-        // Last resort: BFS over the live graph, cached per pair until
-        // the next fault event clears the cache.
-        let key = (ssw.0 as u32, dsw.0 as u32);
-        let repaired = match self.repair_cache.get(&key) {
-            Some(r) => r.clone(),
-            None => {
-                let r = repair_route(&self.topo, &self.liveness, ssw, dsw);
-                self.repair_cache.insert(key, r.clone());
-                r
-            }
-        };
-        let path = repaired?;
-        buf[..path.len()].copy_from_slice(&path);
-        Some((path.len(), true))
-    }
 
-    /// The UGAL-L decision: detour onto the salted Valiant route only
-    /// when the minimal path's cost — first-trunk queue depth × path
-    /// switch count — exceeds the detour's by more than the cost model's
-    /// `adaptive_bias_ns`. Only locally-observable state is consulted
-    /// (the candidate's first trunk hop), mirroring what a Rosetta
-    /// ingress port can see at injection time.
-    fn ugal_prefers_valiant(
-        &self,
-        min: &[SwitchId],
-        val: &[SwitchId],
-        tc: TrafficClass,
-        now: SimTime,
-    ) -> bool {
-        if val.len() <= min.len() {
-            // Degenerate detour (< 3 groups or same-group pair): the
-            // Valiant arena degraded to the minimal route.
-            return false;
-        }
-        let n = self.topo.switch_count();
-        let first_q = |path: &[SwitchId]| -> u64 {
-            let ti = self.trunk_idx[path[0].0 * n + path[1].0];
-            debug_assert!(ti != u32::MAX, "route follows topology links");
-            self.trunks[ti as usize].queue_ns(tc, now)
-        };
-        first_q(min) * min.len() as u64
-            > first_q(val) * val.len() as u64 + self.model.adaptive_bias_ns
-    }
-
-    /// One trunk hop of [`Fabric::transfer`]: the per-class finite-queue
-    /// check plus weighted-sharing bookkeeping on the directed link
-    /// `a → b`. Returns `(start, finish)` — the instants the head enters
-    /// the link and the last byte clears it at the class's weighted
-    /// share of the link rate — or the congestion-drop outcome (already
-    /// counted per hop, per class and per tenant).
-    #[allow(clippy::too_many_arguments)]
-    fn traverse_trunk(
-        &mut self,
-        a: usize,
-        b: usize,
-        tc: TrafficClass,
-        ser_ns: u64,
-        len: u64,
-        vni: Vni,
-        head_t: SimTime,
-    ) -> Result<(SimTime, SimTime), TransferOutcome> {
-        let n = self.topo.switch_count();
-        let ti = self.trunk_idx[a * n + b];
-        debug_assert!(ti != u32::MAX, "route follows topology links");
-        match self.trunks[ti as usize].traverse(tc, ser_ns, len, head_t, self.model.trunk_queue_ns)
-        {
-            Ok(window) => Ok(window),
-            Err(_queued_ns) => {
-                self.traffic_mut(vni).congestion_drops += 1;
-                Err(TransferOutcome::Dropped(self.switches[a].note_drop(DropReason::Congested)))
-            }
-        }
-    }
-
-    /// Packet-level variant used by the packet-granular data path and the
-    /// traffic-class arbitration demo. Timing mirrors [`Fabric::transfer`]
-    /// for a single packet.
-    pub fn send_packet(&mut self, now: SimTime, pkt: &Packet) -> TransferOutcome {
-        self.transfer(now, pkt.src, pkt.dst, pkt.vni, pkt.tc, pkt.payload_len as u64, pkt.msg_id)
-    }
 
     /// Unloaded one-way message time (no queueing) across a same-switch
     /// path: the analytic form of [`Fabric::transfer`] on a single

@@ -6,8 +6,9 @@
 //! A [`LivenessMask`] records which trunks and switches are down; route
 //! selection checks candidates against it and falls back in a fixed,
 //! deterministic order (minimal, then every Valiant salt class, then a
-//! BFS over the live graph). The mask's `epoch` counter invalidates any
-//! cached repair when a fault event mutates liveness.
+//! BFS over the live graph) implemented once, by [`crate::Router`],
+//! which also caches repairs and clears that cache on every fault
+//! event.
 //!
 //! Both engines share this module: the serial [`crate::Fabric`] applies
 //! [`FaultKind`] events directly, and the sharded engine
@@ -42,16 +43,14 @@ pub enum FaultKind {
 pub const MAX_REPAIR_PATH: usize = 8;
 
 /// Which trunks and switches are currently dead. Empty (the common
-/// case) means the fabric is healthy and route selection takes the
-/// interned fast path untouched.
+/// case) means the fabric is healthy: every primary route is live and
+/// no fallback runs.
 #[derive(Debug, Clone, Default)]
 pub struct LivenessMask {
     /// Dead trunks as canonical `(lo, hi)` switch-id pairs.
     dead_trunks: BTreeSet<(u32, u32)>,
     /// Dead switches.
     dead_switches: BTreeSet<u32>,
-    /// Bumped on every mutation; caches keyed by epoch self-invalidate.
-    epoch: u64,
 }
 
 impl LivenessMask {
@@ -62,8 +61,7 @@ impl LivenessMask {
     }
 
     /// Apply one fault event. `LinkUp` on a live link and `LinkDown` on
-    /// a dead one are idempotent (flap schedules may repeat an edge);
-    /// the epoch still advances so cached repairs are re-derived.
+    /// a dead one are idempotent (flap schedules may repeat an edge).
     pub fn apply(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::LinkDown(a, b) => {
@@ -76,19 +74,12 @@ impl LivenessMask {
                 self.dead_switches.insert(s.0 as u32);
             }
         }
-        self.epoch += 1;
     }
 
     /// Whether the fabric is fully healthy (fast-path guard).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.dead_trunks.is_empty() && self.dead_switches.is_empty()
-    }
-
-    /// Mutation count (cache-invalidation key).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Whether a switch is up.
@@ -201,11 +192,9 @@ mod tests {
         assert!(!m.link_live(SwitchId(0), SwitchId(1)));
         assert!(!m.link_live(SwitchId(1), SwitchId(0)));
         assert!(m.link_live(SwitchId(0), SwitchId(2)));
-        let e = m.epoch();
         m.apply(FaultKind::LinkUp(SwitchId(0), SwitchId(1)));
         assert!(m.link_live(SwitchId(0), SwitchId(1)));
         assert!(m.is_empty());
-        assert!(m.epoch() > e, "every mutation bumps the epoch");
     }
 
     #[test]

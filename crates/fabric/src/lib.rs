@@ -25,22 +25,27 @@
 //! For cluster-scale sweeps (1000+ nodes) the [`shardsim`] module runs
 //! the same per-hop timing model sharded per dragonfly group under
 //! `shs_des::ParallelSim` — bit-identical results at any thread count.
+//! Both engines share one route selector ([`router::Router`]: UGAL-L
+//! plus the failure fallback chain) and one link model ([`link`]:
+//! edge links, the [`link::TrunkTable`], cut-through timing).
 
 pub mod fabric;
 pub mod faults;
+pub mod link;
 pub mod packet;
-pub mod pktsim;
+pub mod router;
+pub mod schedule;
 pub mod shardsim;
 pub mod switch;
 pub mod topology;
 pub mod types;
 
-pub use fabric::{
-    Fabric, FabricAuditEvent, FabricError, TransferOutcome, TrunkClassCounters, VniTraffic,
-};
+pub use fabric::{Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic};
 pub use faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
-pub use pktsim::{simulate_contention, ClassStats, Flow};
+pub use link::{TrunkClassCounters, TrunkTable};
 pub use packet::{segment, CostModel, Packet};
+pub use router::Router;
+pub use schedule::{ring_allreduce_schedule, ring_step_into};
 pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters, Verdict, WrrArbiter};
 pub use shardsim::{
     run_sweep, trunk_lookahead, GroupCounters, GroupNet, SweepConfig, SweepFault, SweepStats,

@@ -26,26 +26,29 @@
 //!
 //! # Per-hop timing
 //!
-//! Identical math to the serial [`Fabric`](crate::Fabric): edge links
-//! keep scalar busy-until semantics, trunks share the fabric's
-//! `TrunkState::traverse` (weighted processor sharing + finite
-//! queue). This engine measures routing, queueing and QoS at scale; VNI
-//! enforcement stays with the serial k8s engine, which exercises it
-//! end to end per message.
+//! Identical code to the serial [`Fabric`](crate::Fabric): route
+//! selection is a per-shard [`Router`], trunks are a [`TrunkTable`]
+//! (weighted processor sharing + finite queue) and the cut-through
+//! launch, hop and delivery instants come from [`crate::link`]. This
+//! engine measures routing, queueing and QoS at scale; VNI enforcement
+//! stays with the serial k8s engine, which exercises it end to end per
+//! message.
 
 use std::sync::Arc;
 
 use shs_des::{ParallelSim, ShardSim, SimDur, SimTime};
 
-use crate::fabric::{LinkState, TrunkState};
-use crate::faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
+use crate::faults::{FaultKind, MAX_REPAIR_PATH};
+use crate::link::{CutThrough, LinkState, TrunkTable};
 use crate::packet::CostModel;
+use crate::router::Router;
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::types::{SwitchId, TrafficClass};
 
-/// The conservative lookahead of the sharded engine: one trunk step.
-/// Any event an in-flight message triggers in *another* group is at
-/// least one boundary-trunk traversal away.
+/// The conservative lookahead of the sharded engine: one trunk step
+/// (propagation plus switch hop latency), the head's advance per hop in
+/// both engines. Any event an in-flight message triggers in *another*
+/// group is at least one boundary-trunk traversal away.
 pub fn trunk_lookahead(model: &CostModel) -> SimDur {
     SimDur::from_nanos(model.propagation_ns + model.hop_latency_ns)
 }
@@ -107,16 +110,13 @@ pub struct GroupNet {
     node_base: u32,
     /// Edge-link occupancy per local node.
     edge: Vec<LinkState>,
-    /// Trunk state for the directed trunks this group owns.
-    trunks: Vec<TrunkState>,
-    /// Dense `(from, to) → trunks` index over all switch pairs
-    /// (`u32::MAX` where this group owns no such trunk).
-    trunk_idx: Vec<u32>,
-    /// This shard's view of fabric liveness. Every shard schedules the
-    /// same globally-known fault schedule locally, so the copies never
-    /// diverge and no cross-shard fault notification (which would break
-    /// the lookahead) is needed.
-    mask: LivenessMask,
+    /// The directed trunks this group owns.
+    trunks: TrunkTable,
+    /// This shard's route selection and view of fabric liveness. Every
+    /// shard schedules the same globally-known fault schedule locally,
+    /// so the views never diverge and no cross-shard fault notification
+    /// (which would break the lookahead) is needed.
+    router: Router,
     /// The group's counters.
     pub counters: GroupCounters,
 }
@@ -124,11 +124,6 @@ pub struct GroupNet {
 impl GroupNet {
     fn new(topo: Arc<Topology>, model: CostModel, group: usize, nodes_per_switch: usize) -> Self {
         let view = topo.group_view(group);
-        let n = topo.switch_count();
-        let mut trunk_idx = vec![u32::MAX; n * n];
-        for (i, &(a, b)) in view.trunks_out.iter().enumerate() {
-            trunk_idx[a.0 * n + b.0] = i as u32;
-        }
         let node_base = (view.switches[0].0 * nodes_per_switch) as u32;
         GroupNet {
             model,
@@ -136,9 +131,8 @@ impl GroupNet {
             nodes_per_switch,
             node_base,
             edge: vec![LinkState::default(); view.switches.len() * nodes_per_switch],
-            trunks: vec![TrunkState::default(); view.trunks_out.len()],
-            trunk_idx,
-            mask: LivenessMask::default(),
+            trunks: TrunkTable::new(topo.switch_count(), &view.trunks_out),
+            router: Router::default(),
             topo,
             counters: GroupCounters::default(),
         }
@@ -154,120 +148,42 @@ impl GroupNet {
         &mut self.edge[(node - self.node_base) as usize]
     }
 
-    /// Reserve the owned directed trunk `a → b` for one message.
-    fn traverse(
-        &mut self,
-        a: SwitchId,
-        b: SwitchId,
-        tc: TrafficClass,
-        ser_ns: u64,
-        len: u64,
-        head_t: SimTime,
-    ) -> Result<(SimTime, SimTime), ()> {
-        debug_assert_eq!(self.topo.group_of(a), self.group, "shard reserves only owned trunks");
-        let n = self.topo.switch_count();
-        let ti = self.trunk_idx[a.0 * n + b.0];
-        debug_assert!(ti != u32::MAX, "route follows topology links");
-        self.trunks[ti as usize]
-            .traverse(tc, ser_ns, len, head_t, self.model.trunk_queue_ns)
-            .map_err(|_| ())
-    }
-
-    /// Live queue depth of an owned directed trunk (UGAL's signal).
-    fn queue_of(&self, a: SwitchId, b: SwitchId, tc: TrafficClass, now: SimTime) -> u64 {
-        let n = self.topo.switch_count();
-        let ti = self.trunk_idx[a.0 * n + b.0];
-        debug_assert!(ti != u32::MAX, "UGAL only inspects owned first hops");
-        self.trunks[ti as usize].queue_ns(tc, now)
-    }
-
-    /// Route selection at injection: the policy's primary route (for
-    /// [`RoutingPolicy::Adaptive`], the UGAL-L choice — both candidate
-    /// first hops are sourced at the local switch, so the signal is
-    /// shard-local) when fully live, else the same deterministic
-    /// fallback order as the serial engine: minimal, every Valiant salt
-    /// class, BFS repair. `None` means the pair is partitioned.
-    fn select_path(
-        &self,
-        src_sw: SwitchId,
-        dst_sw: SwitchId,
-        tc: TrafficClass,
-        salt: u64,
-        now: SimTime,
-        out: &mut [u16; MAX_REPAIR_PATH],
-    ) -> Option<u8> {
-        let fill = |out: &mut [u16; MAX_REPAIR_PATH], path: &[SwitchId]| -> u8 {
-            for (slot, s) in out.iter_mut().zip(path.iter()) {
-                *slot = s.0 as u16;
-            }
-            path.len() as u8
-        };
-        let primary: &[SwitchId] = match self.topo.policy() {
-            RoutingPolicy::Adaptive if src_sw != dst_sw => {
-                let min = self.topo.route_minimal(src_sw, dst_sw);
-                let val = self.topo.route_valiant(src_sw, dst_sw, salt);
-                let prefer_val = val.len() > min.len() && {
-                    let qm = self.queue_of(min[0], min[1], tc, now);
-                    let qv = self.queue_of(val[0], val[1], tc, now);
-                    qm * min.len() as u64 > qv * val.len() as u64 + self.model.adaptive_bias_ns
-                };
-                if prefer_val {
-                    val
-                } else {
-                    min
-                }
-            }
-            _ => self.topo.route(src_sw, dst_sw, salt),
-        };
-        if self.mask.route_live(primary) {
-            return Some(fill(out, primary));
-        }
-        let min = self.topo.route_minimal(src_sw, dst_sw);
-        if self.mask.route_live(min) {
-            return Some(fill(out, min));
-        }
-        if self.topo.groups() >= 3 {
-            let classes = self.topo.salt_classes() as u64;
-            for k in 0..classes {
-                let val = self.topo.route_valiant(src_sw, dst_sw, (salt + k) % classes);
-                if self.mask.route_live(val) {
-                    return Some(fill(out, val));
-                }
-            }
-        }
-        repair_route(&self.topo, &self.mask, src_sw, dst_sw).map(|p| fill(out, &p))
-    }
-
     /// Apply one fault event to this shard's liveness view.
     pub(crate) fn apply_fault(&mut self, kind: FaultKind) {
-        self.mask.apply(kind);
+        self.router.apply_fault(kind);
     }
 }
 
-/// The launch event: route selection against the shard's live state,
-/// uplink reservation in the source group, then the route walk (which
-/// may hand off at a group boundary).
+/// The launch event: route selection against the shard's live state
+/// (both UGAL candidates' first hops are sourced at the local switch,
+/// so the signal is shard-local), uplink reservation in the source
+/// group, then the route walk (which may hand off at a group boundary).
 fn launch(s: &mut ShardSim<GroupNet>, mut m: Msg) {
     let now = s.now();
     let w = &mut s.world;
     w.counters.sent += 1;
-    let src_sw = SwitchId(m.src as usize / w.nodes_per_switch);
-    let dst_sw = SwitchId(m.dst as usize / w.nodes_per_switch);
-    let mut path = [0u16; MAX_REPAIR_PATH];
-    let Some(path_len) = w.select_path(src_sw, dst_sw, m.tc, m.id, now, &mut path) else {
+    let (src_sw, dst_sw) = (w.switch_of(m.src), w.switch_of(m.dst));
+    let model = w.model;
+    let Some((path, _)) = w.router.select(
+        &w.topo,
+        &w.trunks,
+        src_sw,
+        dst_sw,
+        m.tc,
+        m.id,
+        now,
+        model.adaptive_bias_ns,
+    ) else {
         w.counters.route_drops += 1;
         return;
     };
-    m.path = path;
-    m.path_len = path_len;
-    let ser = SimDur::from_nanos(w.model.serialize_ns(w.model.wire_bytes(m.len)));
-    let step = trunk_lookahead(&w.model);
-    let up = w.edge_mut(m.src);
-    let t_start = now.max(up.up_busy);
-    up.up_busy = t_start + ser;
-    let head_t = t_start + step;
-    let tail_t = t_start + ser;
-    walk_from(s, m, 0, head_t, tail_t);
+    for (slot, sw) in m.path.iter_mut().zip(path) {
+        *slot = sw.0 as u16;
+    }
+    m.path_len = path.len() as u8;
+    let ser = SimDur::from_nanos(model.serialize_ns(model.wire_bytes(m.len)));
+    let ct = w.edge_mut(m.src).launch(now, ser, &model);
+    walk_from(s, m, 0, ct);
 }
 
 /// Walk the message's carried route from hop index `pos` (an owned
@@ -275,58 +191,39 @@ fn launch(s: &mut ShardSim<GroupNet>, mut m: Msg) {
 /// at a boundary, or deliver onto the destination downlink. A trunk
 /// that died after injection (the liveness check below) drops the
 /// message `NoRoute` at the hop that would have crossed it.
-fn walk_from(s: &mut ShardSim<GroupNet>, m: Msg, pos: usize, head_t: SimTime, tail_t: SimTime) {
-    let topo = Arc::clone(&s.world.topo);
+fn walk_from(s: &mut ShardSim<GroupNet>, m: Msg, pos: usize, mut ct: CutThrough) {
     let model = s.world.model;
     let ser_ns = model.serialize_ns(model.wire_bytes(m.len));
-    let step = trunk_lookahead(&model);
-    let prop = SimDur::from_nanos(model.propagation_ns);
-    let ser = SimDur::from_nanos(ser_ns);
-
-    let (mut head_t, mut tail_t) = (head_t, tail_t);
-    let mut i = pos;
-    while i + 1 < m.path_len as usize {
+    for i in pos..m.path_len as usize - 1 {
         let (a, b) = (SwitchId(m.path[i] as usize), SwitchId(m.path[i + 1] as usize));
-        if !s.world.mask.link_live(a, b) {
+        let w = &mut s.world;
+        if !w.router.liveness().link_live(a, b) {
             // The trunk died while the message was in flight.
-            s.world.counters.route_drops += 1;
+            w.counters.route_drops += 1;
             return;
         }
-        match s.world.traverse(a, b, m.tc, ser_ns, m.len, head_t) {
-            Err(()) => {
-                let c = &mut s.world.counters;
-                c.congestion_drops += 1;
-                c.class_drops[m.tc.index()] += 1;
-                return;
-            }
-            Ok((start, finish)) => {
-                head_t = start + step;
-                tail_t = (tail_t + prop).max(finish);
-            }
+        debug_assert_eq!(w.topo.group_of(a), w.group, "shard reserves only owned trunks");
+        if w.trunks.traverse(a, b, m.tc, ser_ns, m.len, &mut ct, &model).is_err() {
+            w.counters.congestion_drops += 1;
+            w.counters.class_drops[m.tc.index()] += 1;
+            return;
         }
-        i += 1;
-        let gb = topo.group_of(b);
-        if gb != s.world.group {
+        let gb = w.topo.group_of(b);
+        if gb != w.group {
             // The message cleared the boundary trunk this shard owns;
             // its head arrives at switch `b` (owned by group `gb`) at
-            // `head_t`, at least one trunk step in the future — the
+            // `ct.head`, at least one trunk step in the future — the
             // conservative lookahead. The continuation resumes at hop
-            // index `i` of the carried route.
-            let delay = head_t - s.now();
-            s.send_to(gb, delay, move |d| {
-                let head = d.now();
-                walk_from(d, m, i, head, tail_t);
-            });
+            // index `i + 1` of the carried route.
+            let delay = ct.head - s.now();
+            s.send_to(gb, delay, move |d| walk_from(d, m, i + 1, ct));
             return;
         }
     }
 
     // Destination switch reached (it is ours): downlink + delivery.
     debug_assert_eq!(s.world.switch_of(m.dst).0, m.path[m.path_len as usize - 1] as usize);
-    let down = s.world.edge_mut(m.dst);
-    let t1 = head_t.max(down.down_busy);
-    down.down_busy = t1 + ser;
-    let arrival = (t1 + ser).max(tail_t + prop) + prop;
+    let arrival = s.world.edge_mut(m.dst).deliver(ct, SimDur::from_nanos(ser_ns), &model);
     let c = &mut s.world.counters;
     c.delivered += 1;
     c.payload_bytes += m.len;
@@ -537,7 +434,7 @@ pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
     SweepStats {
         nodes: total_nodes as u64,
         shards: psim.shard_count(),
-        lookahead_ns: (cfg.model.propagation_ns + cfg.model.hop_latency_ns),
+        lookahead_ns: lookahead.as_nanos(),
         totals,
         per_group,
         events_executed: psim.events_executed(),

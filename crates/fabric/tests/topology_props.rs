@@ -2,12 +2,14 @@
 //! deterministic, loop-free, link-valid and hop-bounded for arbitrary
 //! (groups, switches/group, edge ports) within bounds, under the
 //! minimal, Valiant and adaptive (UGAL) policies — and, with a fault
-//! mask in play, the deterministic failure-fallback chain must keep
-//! every pair routable across any single link cut.
+//! mask in play, the deterministic failure-fallback chain of the
+//! engines' shared [`Router`] must keep every pair routable across any
+//! single link cut.
 
 use proptest::prelude::*;
+use shs_des::SimTime;
 use shs_fabric::{
-    repair_route, FaultKind, LivenessMask, RoutingPolicy, SwitchId, Topology, TopologySpec,
+    FaultKind, Router, RoutingPolicy, SwitchId, Topology, TopologySpec, TrafficClass, TrunkTable,
     MAX_REPAIR_PATH,
 };
 
@@ -25,33 +27,6 @@ fn resilient_spec_strategy() -> impl Strategy<Value = TopologySpec> {
     (3usize..6, 1usize..4, 1usize..5).prop_map(|(groups, switches_per_group, edge_ports)| {
         TopologySpec { groups, switches_per_group, edge_ports }
     })
-}
-
-/// The engines' deterministic failure-fallback chain (`Fabric` and the
-/// sharded sweep both implement exactly this order): the minimal route
-/// if fully live, else the first live Valiant salt class starting from
-/// the message's own, else a BFS repair over the live graph.
-fn fallback_route(
-    topo: &Topology,
-    mask: &LivenessMask,
-    from: SwitchId,
-    to: SwitchId,
-    salt: u64,
-) -> Option<Vec<SwitchId>> {
-    let min = topo.route_minimal(from, to);
-    if mask.route_live(min) {
-        return Some(min.to_vec());
-    }
-    if topo.groups() >= 3 {
-        let classes = topo.salt_classes() as u64;
-        for k in 0..classes {
-            let val = topo.route_valiant(from, to, (salt + k) % classes);
-            if mask.route_live(val) {
-                return Some(val.to_vec());
-            }
-        }
-    }
-    repair_route(topo, mask, from, to)
 }
 
 fn check_route(topo: &Topology, path: &[SwitchId], from: SwitchId, to: SwitchId, max_len: usize) {
@@ -138,9 +113,11 @@ proptest! {
     }
 
     /// Any **single global-link** failure on a ≥3-group dragonfly
-    /// leaves every switch pair routable: the deterministic fallback
-    /// chain finds a live, loop-free route of ≤ `MAX_REPAIR_PATH`
-    /// switches that never crosses the dead link. (Only inter-group
+    /// leaves every switch pair routable: the engines' [`Router`] finds
+    /// a live, loop-free route of ≤ `MAX_REPAIR_PATH` switches that
+    /// never crosses the dead link. On an idle trunk table UGAL keeps
+    /// the minimal route as primary, so a dead one exercises the whole
+    /// fallback chain: minimal, every Valiant salt class, BFS repair. (Only inter-group
     /// links are cut: an intra-group link can be a bridge — e.g. to a
     /// switch the `h % a` gateway assignment gives no trunk — so its
     /// loss legitimately partitions, which the engines report as
@@ -152,6 +129,7 @@ proptest! {
     ) {
         let topo = Topology::new(spec, RoutingPolicy::Adaptive);
         let n = topo.switch_count();
+        let trunks = TrunkTable::new(n, &topo.trunk_links());
         // Each undirected inter-group link once.
         let cuts: std::collections::BTreeSet<(usize, usize)> = topo
             .trunk_links()
@@ -160,18 +138,21 @@ proptest! {
             .map(|&(a, b)| (a.0.min(b.0), a.0.max(b.0)))
             .collect();
         for &(a, b) in &cuts {
-            let mut mask = LivenessMask::default();
-            mask.apply(FaultKind::LinkDown(SwitchId(a), SwitchId(b)));
+            let mut router = Router::default();
+            router.apply_fault(FaultKind::LinkDown(SwitchId(a), SwitchId(b)));
             for s in 0..n {
                 for d in 0..n {
                     let (from, to) = (SwitchId(s), SwitchId(d));
-                    let path = fallback_route(&topo, &mask, from, to, salt)
+                    let tc = TrafficClass::Dedicated;
+                    let (path, _) = router
+                        .select(&topo, &trunks, from, to, tc, salt, SimTime::ZERO, 0)
                         .unwrap_or_else(|| {
                             panic!("cut ({a},{b}) partitioned {from}->{to}")
                         });
+                    let path = path.to_vec();
                     check_route(&topo, &path, from, to, MAX_REPAIR_PATH);
                     prop_assert!(
-                        mask.route_live(&path),
+                        router.liveness().route_live(&path),
                         "cut ({},{}): route {:?} crosses the dead link", a, b, path
                     );
                 }
