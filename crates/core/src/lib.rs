@@ -18,8 +18,8 @@
 //!   control plane into one deterministic simulated cluster;
 //! * **cluster-scale parallel sweeps** ([`parsim`]) — named 256–1024-node
 //!   dragonfly fabric scenarios running sharded per group under
-//!   `shs_des::ParallelSim`, reported byte-identically at any thread
-//!   count.
+//!   `shs_des::ParallelSim`, whose barrier windows run inline on the
+//!   calling thread.
 //!
 //! ```
 //! use shs_des::{SimDur, SimTime};

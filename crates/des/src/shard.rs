@@ -1,14 +1,11 @@
-//! One shard of a conservatively-synchronised parallel simulation.
+//! One shard of a conservatively-synchronised partitioned simulation.
 //!
 //! [`ShardSim`] is the per-shard twin of [`Sim`](crate::Sim): the same
 //! calendar queue, the same `(time, seq)` ordering contract, the same
-//! monotone clock — plus two things a parallel partition needs:
-//!
-//! * its event closures are `Send` (they migrate to worker threads),
-//! * cross-shard scheduling goes through an **outbox** instead of the
-//!   local queue: [`ShardSim::send_to`] records a [`Remote`] event that
-//!   the coordinator ([`ParallelSim`](crate::ParallelSim)) injects into
-//!   the destination shard *between* barrier windows, never during one.
+//! monotone clock — plus an **outbox** for cross-shard scheduling:
+//! [`ShardSim::send_to`] records a [`Remote`] event that the
+//! coordinator ([`ParallelSim`](crate::ParallelSim)) injects into the
+//! destination shard *between* barrier windows, never during one.
 //!
 //! The conservative contract is enforced here at the source: a remote
 //! event's delay is clamped to at least the configured **lookahead**, so
@@ -23,8 +20,8 @@ use crate::time::{SimDur, SimTime};
 /// Identifies a shard within one [`ParallelSim`](crate::ParallelSim).
 pub type ShardId = usize;
 
-/// A scheduled shard event: a boxed, thread-migratable closure.
-pub type ShardEventFn<W> = Box<dyn FnOnce(&mut ShardSim<W>) + Send>;
+/// A scheduled shard event: a boxed closure over the shard.
+pub type ShardEventFn<W> = Box<dyn FnOnce(&mut ShardSim<W>)>;
 
 /// A cross-shard event waiting in a source shard's outbox.
 pub struct Remote<W> {
@@ -83,12 +80,6 @@ impl<W> ShardSim<W> {
         self.now
     }
 
-    /// The configured conservative lookahead.
-    #[inline]
-    pub fn lookahead(&self) -> SimDur {
-        self.lookahead
-    }
-
     /// Number of events this shard has executed.
     #[inline]
     pub fn events_executed(&self) -> u64 {
@@ -113,13 +104,13 @@ impl<W> ShardSim<W> {
     /// Schedule a local event at absolute time `t`. Scheduling in the
     /// past is a logic error and panics (debug builds) or clamps to
     /// `now` (release) — same contract as [`Sim::at`](crate::Sim::at).
-    pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut ShardSim<W>) + Send + 'static) {
+    pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut ShardSim<W>) + 'static) {
         self.at_boxed(t, Box::new(f));
     }
 
     /// Schedule a local event after a relative delay.
     #[inline]
-    pub fn after(&mut self, d: SimDur, f: impl FnOnce(&mut ShardSim<W>) + Send + 'static) {
+    pub fn after(&mut self, d: SimDur, f: impl FnOnce(&mut ShardSim<W>) + 'static) {
         self.at(self.now + d, f);
     }
 
@@ -148,7 +139,7 @@ impl<W> ShardSim<W> {
         &mut self,
         dst: ShardId,
         delay: SimDur,
-        f: impl FnOnce(&mut ShardSim<W>) + Send + 'static,
+        f: impl FnOnce(&mut ShardSim<W>) + 'static,
     ) {
         debug_assert!(
             delay >= self.lookahead,
@@ -196,15 +187,6 @@ impl<W> ShardSim<W> {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Advance the clock to `t` if it lags behind (used by the
-    /// coordinator to finish a bounded run at its horizon, mirroring
-    /// [`Sim::run_until`](crate::Sim::run_until)).
-    pub fn advance_to(&mut self, t: SimTime) {
-        if self.now < t {
-            self.now = t;
         }
     }
 }

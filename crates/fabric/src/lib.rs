@@ -24,7 +24,8 @@
 //!
 //! For cluster-scale sweeps (1000+ nodes) the [`shardsim`] module runs
 //! the same per-hop timing model sharded per dragonfly group under
-//! `shs_des::ParallelSim` — bit-identical results at any thread count.
+//! `shs_des::ParallelSim`, whose barrier windows run inline on the
+//! calling thread.
 //! Both engines share one route selector ([`router::Router`]: UGAL-L
 //! plus the failure fallback chain) and one link model ([`link`]:
 //! edge links, the [`link::TrunkTable`], cut-through timing).
@@ -42,13 +43,11 @@ pub mod types;
 
 pub use fabric::{Fabric, FabricAuditEvent, FabricError, TransferOutcome, VniTraffic};
 pub use faults::{repair_route, FaultKind, LivenessMask, MAX_REPAIR_PATH};
-pub use link::{TrunkClassCounters, TrunkTable};
+pub use link::{trunk_lookahead, TrunkClassCounters, TrunkTable};
 pub use packet::{segment, CostModel, Packet};
 pub use router::Router;
 pub use schedule::{ring_allreduce_schedule, ring_step_into};
 pub use switch::{DropReason, Switch, SwitchConfig, SwitchCounters, Verdict, WrrArbiter};
-pub use shardsim::{
-    run_sweep, trunk_lookahead, GroupCounters, GroupNet, SweepConfig, SweepFault, SweepStats,
-};
+pub use shardsim::{run_sweep, GroupCounters, GroupNet, SweepConfig, SweepFault, SweepStats};
 pub use topology::{GroupView, RoutingPolicy, Topology, TopologySpec};
 pub use types::{NicAddr, PortId, SwitchId, TrafficClass, Vni};

@@ -11,8 +11,15 @@
 use shs_des::{SimDur, SimTime};
 
 use crate::packet::CostModel;
-use crate::shardsim::trunk_lookahead as trunk_step;
 use crate::types::{SwitchId, TrafficClass};
+
+/// One trunk step (propagation plus switch hop latency): the head's
+/// advance per hop in both engines, and so the conservative lookahead
+/// of the sharded engine — any event an in-flight message triggers in
+/// *another* group is at least one boundary-trunk traversal away.
+pub fn trunk_lookahead(model: &CostModel) -> SimDur {
+    SimDur::from_nanos(model.propagation_ns + model.hop_latency_ns)
+}
 
 /// Cut-through progress of one message in flight.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +52,7 @@ impl LinkState {
     pub(crate) fn launch(&mut self, now: SimTime, ser: SimDur, model: &CostModel) -> CutThrough {
         let t0 = now.max(self.up_busy);
         self.up_busy = t0 + ser;
-        CutThrough { head: t0 + trunk_step(model), tail: t0 + ser }
+        CutThrough { head: t0 + trunk_lookahead(model), tail: t0 + ser }
     }
 
     /// Reserve the downlink and return the arrival of the last byte at
@@ -200,7 +207,7 @@ impl TrunkTable {
         c.payload_bytes += len;
         c.queued_ns_max = c.queued_ns_max.max(queued_ns);
         let prop = SimDur::from_nanos(model.propagation_ns);
-        ct.head = start + trunk_step(model);
+        ct.head = start + trunk_lookahead(model);
         ct.tail = (ct.tail + prop).max(finish);
         Ok(queued_ns)
     }

@@ -1,6 +1,7 @@
 //! Sharded fabric engine: one [`ShardSim`] per dragonfly group under
 //! the conservative [`ParallelSim`] coordinator, for cluster-scale
-//! sweeps (1000+ nodes) the serial engine cannot reach.
+//! sweeps (1000+ nodes) the serial engine cannot reach. The
+//! coordinator runs every barrier window inline on the calling thread.
 //!
 //! # Shard ownership
 //!
@@ -39,19 +40,11 @@ use std::sync::Arc;
 use shs_des::{ParallelSim, ShardSim, SimDur, SimTime};
 
 use crate::faults::{FaultKind, MAX_REPAIR_PATH};
-use crate::link::{CutThrough, LinkState, TrunkTable};
+use crate::link::{trunk_lookahead, CutThrough, LinkState, TrunkTable};
 use crate::packet::CostModel;
 use crate::router::Router;
 use crate::topology::{RoutingPolicy, Topology, TopologySpec};
 use crate::types::{SwitchId, TrafficClass};
-
-/// The conservative lookahead of the sharded engine: one trunk step
-/// (propagation plus switch hop latency), the head's advance per hop in
-/// both engines. Any event an in-flight message triggers in *another*
-/// group is at least one boundary-trunk traversal away.
-pub fn trunk_lookahead(model: &CostModel) -> SimDur {
-    SimDur::from_nanos(model.propagation_ns + model.hop_latency_ns)
-}
 
 /// One message in flight (small and `Copy`: continuations carry it
 /// across shard boundaries by value). The route is chosen once at
@@ -304,8 +297,8 @@ fn mix(seed: u64, node: u32, k: u32, lane: u64) -> u64 {
 }
 
 /// Aggregated outcome of [`run_sweep`]: the sum of every group's
-/// counters plus the coordinator's accounting. Identical for any
-/// thread count — the scenario layer serialises this into reports.
+/// counters plus the coordinator's accounting — the scenario layer
+/// serialises this into reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total nodes in the topology.
@@ -344,10 +337,8 @@ impl SweepStats {
     }
 }
 
-/// Run a sweep on `threads` workers (≤ one per group is useful; 0 and
-/// 1 both mean inline serial execution). The result — every counter,
-/// every clock — is bit-identical for any `threads` value.
-pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
+/// Run a sweep to completion on the calling thread.
+pub fn run_sweep(cfg: &SweepConfig) -> SweepStats {
     assert!(cfg.nodes_per_switch >= 1 && cfg.nodes_per_switch <= cfg.spec.edge_ports);
     let topo = Arc::new(Topology::new(cfg.spec, cfg.policy));
     let lookahead = trunk_lookahead(&cfg.model);
@@ -413,7 +404,7 @@ pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> SweepStats {
         }
     }
 
-    psim.run(threads);
+    psim.run();
 
     let per_group: Vec<GroupCounters> = psim.shards().map(|s| s.world.counters).collect();
     let mut totals = GroupCounters::default();
@@ -451,14 +442,11 @@ mod tests {
     #[test]
     fn sweep_is_conserved_and_thread_invariant() {
         let cfg = SweepConfig::default();
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.totals.sent > 0);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0);
         assert!(base.min_inject_slack.unwrap() >= 0);
-        for threads in [2usize, 4] {
-            assert_eq!(run_sweep(&cfg, threads), base, "threads={threads}");
-        }
     }
 
     #[test]
@@ -468,7 +456,7 @@ mod tests {
             cross_group_every: 0,
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 4);
+        let stats = run_sweep(&cfg);
         assert!(stats.conserved());
         assert_eq!(stats.shards, 1);
         assert_eq!(stats.injected, 0);
@@ -483,14 +471,13 @@ mod tests {
             cross_group_every: 1,
             ..SweepConfig::default()
         };
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.conserved());
         assert!(base.totals.delivered > 0);
         assert!(base.min_inject_slack.unwrap() >= 0);
         // Valiant detours mean more hops per delivered message than the
         // minimal 4-switch bound would allow on average workloads.
         assert!(base.totals.switch_hops >= base.totals.delivered * 2);
-        assert_eq!(run_sweep(&cfg, 3), base);
     }
 
     #[test]
@@ -502,21 +489,17 @@ mod tests {
             interval_ns: 200,
             ..SweepConfig::default()
         };
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0);
         assert!(base.min_inject_slack.unwrap() >= 0);
-        for threads in [2usize, 4] {
-            assert_eq!(run_sweep(&cfg, threads), base, "threads={threads}");
-        }
     }
 
     #[test]
     fn trunk_cut_mid_sweep_conserves_and_stays_thread_invariant() {
         // 3 groups × 1 switch: cut trunk (0, 1) mid-sweep. Adaptive
         // fallback detours via group 2; messages already in flight on
-        // the dead trunk's route are route-dropped, and totals stay
-        // identical at any thread count.
+        // the dead trunk's route are route-dropped.
         let cfg = SweepConfig {
             spec: TopologySpec { groups: 3, switches_per_group: 1, edge_ports: 8 },
             policy: RoutingPolicy::Adaptive,
@@ -530,13 +513,10 @@ mod tests {
             kind: FaultKind::LinkDown(SwitchId(0), SwitchId(1)),
         };
         let cfg = SweepConfig { faults: vec![cut], ..cfg };
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         assert!(base.conserved(), "{:?}", base.totals);
         assert!(base.totals.delivered > 0, "detours keep traffic flowing");
         assert!(base.min_inject_slack.unwrap() >= 0);
-        for threads in [2usize, 3] {
-            assert_eq!(run_sweep(&cfg, threads), base, "threads={threads}");
-        }
     }
 
     #[test]
@@ -552,7 +532,7 @@ mod tests {
             }],
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 2);
+        let stats = run_sweep(&cfg);
         assert!(stats.conserved(), "{:?}", stats.totals);
         assert!(stats.totals.route_drops > 0);
         assert_eq!(stats.totals.congestion_drops, 0);
@@ -562,7 +542,6 @@ mod tests {
             stats.totals.route_drops,
             stats.totals.sent - stats.totals.delivered,
         );
-        assert_eq!(run_sweep(&cfg, 1), stats);
     }
 
     #[test]
@@ -579,13 +558,12 @@ mod tests {
             ],
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 2);
+        let stats = run_sweep(&cfg);
         assert!(stats.conserved());
         assert!(stats.totals.route_drops > 0, "early cross traffic died");
         // Cross-group deliveries resume after the LinkUp: some message
         // must have crossed (2 hops) post-recovery.
         assert!(stats.totals.switch_hops > stats.totals.delivered);
-        assert_eq!(run_sweep(&cfg, 1), stats);
     }
 
     #[test]
@@ -600,7 +578,7 @@ mod tests {
             interval_ns: 1,
             ..SweepConfig::default()
         };
-        let stats = run_sweep(&cfg, 2);
+        let stats = run_sweep(&cfg);
         assert_eq!(stats.totals.sent, 2);
         assert_eq!(stats.totals.delivered, 2);
         let m = cfg.model;

@@ -5,9 +5,8 @@
 //! accounted for (`sent == delivered + congestion_drops + route_drops`,
 //! the packet-conservation invariant), no packet may traverse a dead
 //! link (killing every global link up front must zero the cross-group
-//! delivery count), and the whole result must be **bit-identical**
-//! between the serial and the multi-threaded engine under the same
-//! schedule.
+//! delivery count), and no shard may receive a cross-group event below
+//! its clock.
 
 use proptest::prelude::*;
 use shs_fabric::{
@@ -84,9 +83,8 @@ fn schedule(cfg: &SweepConfig, raw: &[(u64, u8, usize, usize)]) -> Vec<SweepFaul
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Conservation + determinism under arbitrary fault schedules: the
-    /// serial engine and the 2- and 4-thread engines produce the same
-    /// counters to the bit, and no message is ever lost unaccounted.
+    /// Conservation under arbitrary fault schedules: no message is ever
+    /// lost unaccounted, and the conservative lookahead holds.
     #[test]
     fn random_fault_schedules_conserve_and_stay_thread_invariant(
         cfg in config_strategy(),
@@ -94,7 +92,7 @@ proptest! {
     ) {
         let mut cfg = cfg;
         cfg.faults = schedule(&cfg, &raw);
-        let base = run_sweep(&cfg, 1);
+        let base = run_sweep(&cfg);
         prop_assert!(
             base.conserved(),
             "sent {} != delivered {} + congestion {} + route {}",
@@ -105,10 +103,6 @@ proptest! {
         );
         if let Some(slack) = base.min_inject_slack {
             prop_assert!(slack >= 0, "conservative violation: slack {}ns", slack);
-        }
-        for threads in [2usize, 4] {
-            let run = run_sweep(&cfg, threads);
-            prop_assert_eq!(&run, &base, "threads={}", threads);
         }
     }
 
@@ -133,15 +127,13 @@ proptest! {
             .filter(|&&(a, b)| topo.group_of(a) != topo.group_of(b))
             .map(|&(a, b)| SweepFault { at_ns: 0, kind: FaultKind::LinkDown(a, b) })
             .collect();
-        let healthy = run_sweep(&SweepConfig { faults: Vec::new(), ..cfg.clone() }, 1);
-        let cut = run_sweep(&cfg, 1);
+        let healthy = run_sweep(&SweepConfig { faults: Vec::new(), ..cfg.clone() });
+        let cut = run_sweep(&cfg);
         prop_assert!(cut.conserved());
         prop_assert_eq!(cut.totals.sent, healthy.totals.sent, "faults must not change the load");
         prop_assert_eq!(cut.totals.delivered, 0, "a dead link must never carry a packet");
         prop_assert_eq!(cut.totals.switch_hops, 0);
         prop_assert_eq!(cut.totals.congestion_drops, 0);
         prop_assert_eq!(cut.totals.route_drops, cut.totals.sent);
-        // Thread invariance holds for the degenerate schedule too.
-        prop_assert_eq!(&run_sweep(&cfg, 4), &cut);
     }
 }

@@ -10,9 +10,8 @@
 //! the old whole-output comparison.
 //!
 //! The `"parallel_reports"` section holds the cluster-scale fabric
-//! sweeps ([`FabricSweepReport`]) run under the sharded engine; its
-//! bytes are additionally identical across `--threads` values — the
-//! thread count appears nowhere in it.
+//! sweeps ([`FabricSweepReport`]) run under the sharded engine, whose
+//! barrier windows run inline on the calling thread.
 
 use serde::Serialize;
 use serde_json::Value;
@@ -157,7 +156,7 @@ mod tests {
 
     fn tiny_parallel_report() -> FabricSweepReport {
         let sc = parallel_by_name("trunk-contended-128", 5).expect("library sweep");
-        run_fabric_scenario(&sc, 2)
+        run_fabric_scenario(&sc, 1)
     }
 
     fn tiny_stress_report() -> VniStressReport {
