@@ -57,7 +57,7 @@ impl JobTracker {
     pub fn observe(&mut self, api: &ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
-        for ev in &events {
+        for ev in events {
             match (ev.object.kind.as_str(), ev.kind) {
                 (k, WatchType::Modified) if k == kinds::POD => {
                     let Some(status) = status_of::<PodStatus>(&ev.object) else { continue };

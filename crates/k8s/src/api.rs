@@ -101,7 +101,9 @@ pub enum WatchType {
     Deleted,
 }
 
-/// A watch event.
+/// A watch event, as stored in the API server's event log. Watchers
+/// read it in place through [`ApiServer::events_since`]; every watcher
+/// sees the same entry, never a per-watcher copy.
 #[derive(Debug, Clone)]
 pub struct WatchEvent {
     /// Resource version at which the event occurred.
@@ -355,13 +357,15 @@ impl ApiServer {
         }
     }
 
-    /// Watch events with rv strictly greater than `since`. Returns the
-    /// events and the latest rv to resume from. The event log is sorted
-    /// by rv, so resumption is a binary search plus a (usually tiny) tail
-    /// clone.
-    pub fn events_since(&self, since: u64) -> (Vec<WatchEvent>, u64) {
+    /// Watch events with rv strictly greater than `since`, borrowed from
+    /// the server's single event log, and the latest rv to resume from
+    /// (`since` when nothing is new). The log is sorted by rv, so
+    /// resumption is a binary search; no event is copied. A watcher that
+    /// writes back to the server while handling the events must first
+    /// collect what it needs, since the slice borrows the server.
+    pub fn events_since(&self, since: u64) -> (&[WatchEvent], u64) {
         let start = self.events.partition_point(|e| e.rv <= since);
-        let evs: Vec<WatchEvent> = self.events[start..].to_vec();
+        let evs = &self.events[start..];
         let latest = evs.last().map_or(since, |e| e.rv);
         (evs, latest)
     }

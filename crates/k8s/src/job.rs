@@ -35,7 +35,7 @@ impl JobController {
 
         // Collect job keys that need reconciling.
         let mut dirty: BTreeSet<(String, String)> = BTreeSet::new();
-        for ev in &events {
+        for ev in events {
             match ev.object.kind.as_str() {
                 k if k == kinds::JOB => {
                     dirty.insert((ev.object.meta.namespace.clone(), ev.object.meta.name.clone()));

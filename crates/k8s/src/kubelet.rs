@@ -7,6 +7,11 @@
 //! admission lag behind submission once the arrival rate crosses the
 //! service rate (the knee at ~batch 7 in the paper's Fig. 10).
 //!
+//! The kubelet watches only its own node's pods, as a real kubelet does
+//! through the `spec.nodeName=<node>` field selector: it skips every
+//! other event in the API server's log by reading the binding in place
+//! ([`pod_node_name`]), and copies out only the events it acts on.
+//!
 //! Node-specific work (runtime, CNI chain, CXI device) is delegated to a
 //! [`NodeBackend`], implemented by the composition layer.
 
@@ -16,9 +21,9 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use shs_des::{SimDur, SimTime};
 use shs_oslinux::NetNsId;
 
-use crate::api::{ApiObject, ApiServer, WatchType};
+use crate::api::{ApiObject, ApiServer, WatchEvent, WatchType};
 use crate::job::KUBELET_FINALIZER;
-use crate::objects::{kinds, spec_of, PodPhase, PodSpec, PodStatus};
+use crate::objects::{kinds, pod_node_name, PodPhase, PodStatus};
 
 /// Outcome of a CNI ADD attempt, as seen by the kubelet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,14 +197,18 @@ impl Kubelet {
     fn ingest_events(&mut self, api: &mut ApiServer, now: SimTime) {
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
-        for ev in events {
-            if ev.object.kind != kinds::POD {
-                continue;
-            }
-            let spec: PodSpec = spec_of(&ev.object);
-            if spec.node_name.as_deref() != Some(self.node.as_str()) {
-                continue;
-            }
+        // Only this node's pods, like a `spec.nodeName` field-selector
+        // watch. They are copied out of the log because handling them
+        // writes back to the server (finalizer release).
+        let mine: Vec<WatchEvent> = events
+            .iter()
+            .filter(|ev| {
+                ev.object.kind == kinds::POD
+                    && pod_node_name(&ev.object) == Some(self.node.as_str())
+            })
+            .cloned()
+            .collect();
+        for ev in mine {
             let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
             match ev.kind {
                 WatchType::Added | WatchType::Modified => {
@@ -219,7 +228,7 @@ impl Kubelet {
                             self.work.insert(
                                 key.clone(),
                                 PodWork {
-                                    pod: ev.object.clone(),
+                                    pod: ev.object,
                                     stage: Stage::QueuedSetup,
                                     netns: None,
                                     attempts: 0,
@@ -232,7 +241,7 @@ impl Kubelet {
                             self.setup_q.push_back(key);
                         }
                         Some(w) => {
-                            w.pod = ev.object.clone();
+                            w.pod = ev.object;
                             if terminating && !w.terminating {
                                 w.terminating = true;
                                 // Pods idle in a terminal or waiting state
@@ -523,7 +532,7 @@ impl Kubelet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objects::pod_phase;
+    use crate::objects::{pod_phase, spec_of, PodSpec};
     use serde_json::json;
 
     /// Scripted backend with fixed costs.
@@ -721,5 +730,46 @@ mod tests {
         run(&mut kubelet, &mut api, &mut backend, 800);
         assert!(api.get(kinds::POD, "ns", "b").is_none(), "no sandbox existed");
         assert_eq!(pod_phase(api.get(kinds::POD, "ns", "a").unwrap()), PodPhase::Running);
+    }
+
+    #[test]
+    fn never_acts_on_another_nodes_pods() {
+        let mut api = ApiServer::default();
+        let mut n0 = Kubelet::new("n0", KubeletParams::default());
+        let mut n1 = Kubelet::new("n1", KubeletParams::default());
+        let mut backend = MockBackend::default();
+        let mut pod = bound_pod("p", Some(10));
+        pod.spec["node_name"] = json!("n1");
+        api.create(pod, SimTime::ZERO).unwrap();
+        api.delete(kinds::POD, "ns", "p").unwrap();
+
+        // n0 sees the terminating pod in the log but must not release
+        // n1's finalizer for it.
+        n0.poll(&mut api, &mut backend, SimTime::ZERO);
+        let pod = api.get(kinds::POD, "ns", "p").expect("still terminating");
+        assert!(pod.meta.finalizers.iter().any(|f| f == KUBELET_FINALIZER));
+        assert_eq!(n0.tracked(), 0);
+
+        n1.poll(&mut api, &mut backend, SimTime::ZERO);
+        assert!(api.get(kinds::POD, "ns", "p").is_none(), "n1 released its finalizer");
+        assert_eq!(n1.tracked(), 0);
+    }
+
+    #[test]
+    fn picks_up_a_pod_bound_by_a_later_modified_event() {
+        let mut api = ApiServer::default();
+        let mut n0 = Kubelet::new("n0", KubeletParams::default());
+        let mut backend = MockBackend::default();
+        let mut pod = bound_pod("p", Some(10));
+        pod.spec["node_name"] = serde_json::Value::Null;
+        api.create(pod, SimTime::ZERO).unwrap();
+        n0.poll(&mut api, &mut backend, SimTime::ZERO);
+        assert_eq!(n0.tracked(), 0, "unbound pods belong to no node");
+
+        api.mutate(kinds::POD, "ns", "p", |o| o.spec["node_name"] = json!("n0")).unwrap();
+        n0.poll(&mut api, &mut backend, SimTime::ZERO);
+        assert_eq!(n0.tracked(), 1, "the binding event hands the pod to n0");
+        run(&mut n0, &mut api, &mut backend, 1000);
+        assert_eq!(pod_phase(api.get(kinds::POD, "ns", "p").unwrap()), PodPhase::Succeeded);
     }
 }

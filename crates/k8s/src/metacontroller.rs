@@ -151,7 +151,7 @@ impl<H: DecoratorHooks> Metacontroller<H> {
         // Ingest events.
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
-        for ev in &events {
+        for ev in events {
             if self.in_scope(&ev.object) {
                 let key = (ev.object.meta.namespace.clone(), ev.object.meta.name.clone());
                 match ev.kind {

@@ -92,6 +92,13 @@ fn default_grace() -> u64 {
     30
 }
 
+/// A pod's node binding ([`PodSpec::node_name`]), read straight from the
+/// spec JSON without decoding the rest of it — the cheap check behind a
+/// `spec.nodeName` field selector. `None` while the pod is unbound.
+pub fn pod_node_name(pod: &ApiObject) -> Option<&str> {
+    pod.spec["node_name"].as_str()
+}
+
 /// Pod lifecycle phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PodPhase {
@@ -230,6 +237,42 @@ mod tests {
         assert_eq!(pod_phase(pod), PodPhase::Running);
         let st: PodStatus = status_of(pod).unwrap();
         assert_eq!(st.started_at_ns, Some(123));
+    }
+
+    #[test]
+    fn pod_node_name_agrees_with_the_typed_decode() {
+        let spec = |node: Option<&str>| PodSpec {
+            job_name: Some("j".into()),
+            image: "alpine".into(),
+            run_ms: None,
+            userns_base: None,
+            node_name: node.map(str::to_string),
+            spread_key: None,
+            node_selector: None,
+            termination_grace_period_secs: 30,
+        };
+        let pod = |name: &str, node: Option<&str>| {
+            ApiObject::new(kinds::POD, "ns", name, serde_json::to_value(spec(node)).unwrap())
+        };
+        let agrees = |pod: &ApiObject| {
+            assert_eq!(pod_node_name(pod), spec_of::<PodSpec>(pod).node_name.as_deref());
+        };
+
+        let unbound = pod("unbound", None);
+        agrees(&unbound);
+        assert_eq!(pod_node_name(&unbound), None);
+        let bound = pod("bound", Some("n3"));
+        agrees(&bound);
+        assert_eq!(pod_node_name(&bound), Some("n3"));
+
+        // Bound the way the cluster binds: by the scheduler's mutate.
+        let mut api = crate::api::ApiServer::default();
+        api.create(make_node("n0", 10), SimTime::ZERO).unwrap();
+        api.create(pod("scheduled", None), SimTime::ZERO).unwrap();
+        crate::scheduler::Scheduler::new().poll(&mut api, SimTime::ZERO);
+        let scheduled = api.get(kinds::POD, "ns", "scheduled").unwrap();
+        agrees(scheduled);
+        assert_eq!(pod_node_name(scheduled), Some("n0"));
     }
 
     #[test]

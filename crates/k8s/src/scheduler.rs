@@ -39,7 +39,7 @@ impl Scheduler {
         // Learn about new pods from the watch stream.
         let (events, rv) = api.events_since(self.last_rv);
         self.last_rv = rv;
-        for ev in &events {
+        for ev in events {
             if ev.object.kind != kinds::POD {
                 continue;
             }

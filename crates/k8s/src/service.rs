@@ -120,7 +120,7 @@ impl ServiceController {
         self.last_rv = rv;
 
         let mut dirty: BTreeSet<(String, String)> = BTreeSet::new();
-        for ev in &events {
+        for ev in events {
             match ev.object.kind.as_str() {
                 k if k == kinds::SERVICE => {
                     dirty.insert((ev.object.meta.namespace.clone(), ev.object.meta.name.clone()));

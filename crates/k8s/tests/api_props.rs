@@ -68,7 +68,7 @@ proptest! {
         let (events, _) = api.events_since(0);
         let mut last_rv = 0;
         let mut replica: BTreeMap<String, ApiObject> = BTreeMap::new();
-        for ev in &events {
+        for ev in events {
             prop_assert!(ev.rv >= last_rv, "rv regressed");
             last_rv = ev.rv;
             match ev.kind {
@@ -98,10 +98,11 @@ proptest! {
         let mut api = ApiServer::default();
         run_ops(&mut api, &ops1);
         let (first, rv) = api.events_since(0);
+        let first = first.len();
         run_ops(&mut api, &ops2);
         let (second, _) = api.events_since(rv);
         let (whole, _) = api.events_since(0);
-        prop_assert_eq!(first.len() + second.len(), whole.len());
+        prop_assert_eq!(first + second.len(), whole.len());
     }
 
     /// Finalizer safety: an object with finalizers survives deletion
