@@ -17,6 +17,7 @@ use shs_containers::{ContainerRuntime, Image, ImageStore, RuntimeError, RuntimeP
 use shs_cxi::{CxiDevice, CxiDriver, CxiServiceDesc};
 use shs_des::{DetRng, SimDur, SimTime};
 use shs_fabric::{CostModel, Fabric, NicAddr, RoutingPolicy, SwitchId, TopologySpec, Vni};
+use shs_k8s::objects::pod_node_name;
 use shs_k8s::{
     kinds, make_node, spec_of, ApiObject, ApiServer, CniAddOutcome, DecoratorConfig,
     JobController, JobSpec, Kubelet, KubeletParams, Metacontroller, NodeBackend, Pleg, PodPhase,
@@ -618,10 +619,10 @@ impl Cluster {
     }
 
     /// A pod's runtime handle: owning node index, workload pid, netns.
+    /// Reads the binding with [`pod_node_name`]; no spec decode.
     pub fn pod_handle(&self, namespace: &str, name: &str) -> Option<PodHandle> {
         let pod = self.api.get(kinds::POD, namespace, name)?;
-        let spec: PodSpec = spec_of(pod);
-        let node_name = spec.node_name?;
+        let node_name = pod_node_name(pod)?;
         let node_idx = self.nodes.iter().position(|n| n.inner.name == node_name)?;
         let sandbox =
             self.nodes[node_idx].inner.runtime.sandbox(&NodeInner::sandbox_id(pod)).ok()?;

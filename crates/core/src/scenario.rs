@@ -9,9 +9,12 @@
 //!
 //! * pod admission goes through the real scheduler, kubelet, CNI chain
 //!   and VNI Service (admission latency is measured per job);
-//! * rank-to-rank traffic authenticates against the node's CXI driver
-//!   (netns member check) before it touches the fabric, exactly like an
-//!   RDMA application opening an endpoint;
+//! * rank-to-rank traffic and service RPCs authenticate against the
+//!   node's CXI driver (netns member check) before they touch the
+//!   fabric, exactly like an RDMA application opening an endpoint: each
+//!   rank or replica once per traffic round or service fire, since the
+//!   driver's state changes only in control-plane events (§II-C), and a
+//!   refused endpoint's every message counts an auth failure;
 //! * every traffic round also mounts an **adversarial cross-tenant
 //!   probe**: a pod tries to authenticate against another tenant's VNI,
 //!   and — should the driver ever admit it — the fabric's per-port VNI
@@ -391,7 +394,8 @@ pub struct TrafficReport {
     pub delivered: u64,
     /// Authorized messages the fabric dropped.
     pub dropped: u64,
-    /// Senders that failed to authenticate against their *own* VNI.
+    /// Sends refused because their sender failed to authenticate
+    /// against its *own* VNI (one per send).
     pub auth_failures: u64,
     /// Mean delivery latency (ns) over delivered messages.
     pub mean_latency_ns: u64,
@@ -481,7 +485,8 @@ pub struct ServiceReport {
     pub completed: u64,
     /// Round trips lost to a fabric drop on either leg.
     pub dropped: u64,
-    /// Replicas that failed to authenticate against the service VNI.
+    /// Requests refused because either replica failed to authenticate
+    /// against the service VNI (one per request).
     pub auth_failures: u64,
     /// Delivered payload bytes (both legs).
     pub payload_bytes: u64,
@@ -721,35 +726,58 @@ fn tick_ev(sim: &mut Sim<World>) {
     }
 }
 
-/// Authenticate `src` against `vni` and push one message through the
-/// fabric, folding the outcome into the scenario counters. Returns the
-/// delivery instant so request/response pairs can chain the response
-/// leg off the request's arrival.
+/// A ready pod as one DES event sees it: its runtime handle plus the
+/// CXI driver's verdict for the event's VNI. The driver authenticates
+/// "only during endpoint creation" (§II-C) and its state changes only
+/// in control-plane events (ticks, CNI add/del, deletions), never
+/// inside a traffic round or a service fire, so one verdict per
+/// endpoint per event is exactly what a per-message check would say.
+#[derive(Clone, Copy)]
+struct Endpoint {
+    pod: PodHandle,
+    authorized: bool,
+}
+
+/// Authenticate each pod against `vni` once — the member check every
+/// RDMA application passes when it opens its endpoint.
+fn authenticate(cluster: &Cluster, pods: &[PodHandle], vni: Vni) -> Vec<Endpoint> {
+    pods.iter()
+        .map(|&pod| {
+            let n = &cluster.nodes[pod.node_idx].inner;
+            let authorized = n.device.driver.find_service(&n.host, pod.pid, vni).is_ok();
+            Endpoint { pod, authorized }
+        })
+        .collect()
+}
+
+/// Send one message from `src` (refused unless its endpoint
+/// authenticated this event) through the fabric, folding the outcome
+/// into the scenario counters. Returns the delivery instant so
+/// request/response pairs can chain the response leg off the
+/// request's arrival.
 #[allow(clippy::too_many_arguments)]
 fn send_authorized(
     w: &mut World,
     now: SimTime,
     ji: usize,
-    src: PodHandle,
-    dst: PodHandle,
+    src: Endpoint,
+    dst: Endpoint,
     vni: Vni,
     size: u64,
     tc: TrafficClass,
 ) -> Option<SimTime> {
     w.msg_id += 1;
     let id = w.msg_id;
-    let Cluster { nodes, fabric, .. } = &mut w.cluster;
-    let sn = &nodes[src.node_idx];
-    // The member check every RDMA application passes once at startup.
-    if sn.inner.device.driver.find_service(&sn.inner.host, src.pid, vni).is_err() {
+    if !src.authorized {
         w.m.auth_failures += 1;
         return None;
     }
     w.m.authorized_sends += 1;
     w.m.class[tc.index()].sends += 1;
     w.m.per_job[ji].sends += 1;
-    let src_nic = sn.inner.nic;
-    let dst_nic = nodes[dst.node_idx].inner.nic;
+    let Cluster { nodes, fabric, .. } = &mut w.cluster;
+    let src_nic = nodes[src.pod.node_idx].inner.nic;
+    let dst_nic = nodes[dst.pod.node_idx].inner.nic;
     match fabric.transfer(now, src_nic, dst_nic, vni, tc, size, id) {
         TransferOutcome::Delivered { arrival, .. } => {
             w.m.delivered += 1;
@@ -845,50 +873,48 @@ fn traffic_round(sim: &mut Sim<World>, ji: usize) {
                 w.m.rounds += 1;
                 w.jobs[ji].vni_seen = Some(vni);
                 if handles.len() >= 2 {
+                    let eps = authenticate(&w.cluster, &handles, vni);
+                    let n = eps.len();
                     match tp.pattern {
                         TrafficPattern::Ring => {
-                            for i in 0..handles.len() {
-                                let dst = handles[(i + 1) % handles.len()];
+                            for i in 0..n {
+                                let dst = eps[(i + 1) % n];
                                 for _ in 0..tp.burst.max(1) {
-                                    send_authorized(
-                                        w, now, ji, handles[i], dst, vni, tp.size, tp.tc,
-                                    );
+                                    send_authorized(w, now, ji, eps[i], dst, vni, tp.size, tp.tc);
                                 }
                             }
                         }
                         TrafficPattern::Incast => {
-                            for i in 1..handles.len() {
+                            for i in 1..n {
                                 for _ in 0..tp.burst.max(1) {
                                     send_authorized(
-                                        w, now, ji, handles[i], handles[0], vni, tp.size, tp.tc,
+                                        w, now, ji, eps[i], eps[0], vni, tp.size, tp.tc,
                                     );
                                 }
                             }
                         }
                         TrafficPattern::Allreduce => {
-                            for step in ring_allreduce_schedule(handles.len(), tp.size) {
+                            for step in ring_allreduce_schedule(n, tp.size) {
                                 for (src, dst, len) in step {
                                     for _ in 0..tp.burst.max(1) {
                                         send_authorized(
-                                            w, now, ji, handles[src], handles[dst], vni, len,
-                                            tp.tc,
+                                            w, now, ji, eps[src], eps[dst], vni, len, tp.tc,
                                         );
                                     }
                                 }
                             }
                         }
                         TrafficPattern::RequestResponse => {
-                            for i in 0..handles.len() {
-                                let dst = handles[(i + 1) % handles.len()];
+                            for i in 0..n {
+                                let dst = eps[(i + 1) % n];
                                 for _ in 0..tp.burst.max(1) {
                                     // The response leg departs when the
                                     // request arrives, like a real RPC.
                                     if let Some(arrival) = send_authorized(
-                                        w, now, ji, handles[i], dst, vni, tp.size, tp.tc,
+                                        w, now, ji, eps[i], dst, vni, tp.size, tp.tc,
                                     ) {
                                         send_authorized(
-                                            w, arrival, ji, dst, handles[i], vni, tp.size,
-                                            tp.tc,
+                                            w, arrival, ji, dst, eps[i], vni, tp.size, tp.tc,
                                         );
                                     }
                                 }
@@ -934,11 +960,11 @@ fn drain_ev(sim: &mut Sim<World>, node_idx: usize) {
     w.drained.push((node_idx, now));
 }
 
-/// One TSoR-style round trip: authenticate both replicas against the
-/// service VNI, push the request leg, then the response leg dispatched
-/// at the request's arrival instant; the latency sample is the full
-/// round trip in virtual time.
-fn service_request(w: &mut World, now: SimTime, si: usize, src: PodHandle, dst: PodHandle, vni: Vni) {
+/// One TSoR-style round trip between two replicas that authenticated
+/// against the service VNI this fire: push the request leg, then the
+/// response leg dispatched at the request's arrival instant; the
+/// latency sample is the full round trip in virtual time.
+fn service_request(w: &mut World, now: SimTime, si: usize, src: Endpoint, dst: Endpoint, vni: Vni) {
     w.msg_id += 1;
     let req_id = w.msg_id;
     w.msg_id += 1;
@@ -947,18 +973,15 @@ fn service_request(w: &mut World, now: SimTime, si: usize, src: PodHandle, dst: 
     let t = &mut services[si];
     let (tc, req, resp) = (t.plan.tc, t.plan.request_bytes, t.plan.response_bytes);
     t.requests += 1;
-    let Cluster { nodes, fabric, .. } = cluster;
-    // Both ends hold an RDMA endpoint: the client authenticates to send
-    // the request, the server to send the response.
-    for h in [src, dst] {
-        let n = &nodes[h.node_idx];
-        if n.inner.device.driver.find_service(&n.inner.host, h.pid, vni).is_err() {
-            t.auth_failures += 1;
-            return;
-        }
+    // Both ends hold an RDMA endpoint: the client's sends the request,
+    // the server's the response.
+    if !(src.authorized && dst.authorized) {
+        t.auth_failures += 1;
+        return;
     }
-    let src_nic = nodes[src.node_idx].inner.nic;
-    let dst_nic = nodes[dst.node_idx].inner.nic;
+    let Cluster { nodes, fabric, .. } = cluster;
+    let src_nic = nodes[src.pod.node_idx].inner.nic;
+    let dst_nic = nodes[dst.pod.node_idx].inner.nic;
     let TransferOutcome::Delivered { arrival, .. } =
         fabric.transfer(now, src_nic, dst_nic, vni, tc, req, req_id)
     else {
@@ -976,9 +999,9 @@ fn service_request(w: &mut World, now: SimTime, si: usize, src: PodHandle, dst: 
 }
 
 /// One open-loop generator fire: compute the demand (baseline + burst
-/// window), drive the autoscaler, then round-robin the requests over
-/// the PLEG-cached ready replica list, plus one adversarial cross-VNI
-/// probe per fire.
+/// window), drive the autoscaler, authenticate each PLEG-cached ready
+/// replica once against the service VNI, then round-robin the requests
+/// over them, plus one adversarial cross-VNI probe per fire.
 fn service_fire(w: &mut World, now: SimTime, si: usize) {
     let plan = w.services[si].plan.clone();
     let mut demand = plan.requests_per_fire;
@@ -1004,10 +1027,11 @@ fn service_fire(w: &mut World, now: SimTime, si: usize) {
     };
     w.services[si].fires += 1;
     w.services[si].vni_seen = Some(vni);
-    let n = handles.len();
+    let eps = authenticate(&w.cluster, &handles, vni);
+    let n = eps.len();
     let mut rr = w.services[si].rr;
     for _ in 0..demand {
-        let (src, dst) = (handles[rr % n], handles[(rr + 1) % n]);
+        let (src, dst) = (eps[rr % n], eps[(rr + 1) % n]);
         rr += 1;
         service_request(w, now, si, src, dst, vni);
     }
@@ -1049,6 +1073,14 @@ fn service_round(sim: &mut Sim<World>, si: usize) {
 /// Execute a scenario end to end; never panics on isolation failures —
 /// they are reported in the returned [`ScenarioReport`].
 pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
+    let mut sim = schedule(scenario);
+    sim.run_until(scenario.horizon);
+    audit(scenario, sim)
+}
+
+/// Build the scenario's world and schedule its ticks, claims, jobs,
+/// services and faults as DES events.
+fn schedule(scenario: &Scenario) -> Sim<World> {
     let cluster = Cluster::new(scenario.config.clone());
     let world = World {
         cluster,
@@ -1185,8 +1217,12 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
             }
         }
     }
+    sim
+}
 
-    sim.run_until(scenario.horizon);
+/// Audit the end state of a run driven to its horizon and build its
+/// report.
+fn audit(scenario: &Scenario, mut sim: Sim<World>) -> ScenarioReport {
     let events_executed = sim.events_executed();
     let w = &mut sim.world;
 
@@ -2517,6 +2553,145 @@ mod tests {
             horizon: ms(12_000),
             tick: SimDur::from_millis(20),
         }
+    }
+
+    /// A 4-replica service beside a 4-rank allreduce on one switch,
+    /// with fires and rounds far enough apart to drive one by hand.
+    fn endpoint_rig() -> Scenario {
+        let mut ring = job("hpc", "ring", 4, 500, VniMode::Dedicated);
+        ring.traffic = Some(TrafficPlan {
+            rounds: 100,
+            interval: SimDur::from_millis(1_000),
+            size: 4096,
+            tc: TrafficClass::Dedicated,
+            burst: 1,
+            pattern: TrafficPattern::Allreduce,
+        });
+        let svc = ServicePlan {
+            tenant: "web".into(),
+            name: "front".into(),
+            replicas: 4,
+            arrival: ms(500),
+            vni: VniMode::Dedicated,
+            tc: TrafficClass::LowLatency,
+            request_interval: SimDur::from_millis(250),
+            requests_per_fire: 8,
+            request_bytes: 512,
+            response_bytes: 1024,
+            slo_p99: SimDur::from_micros(200),
+            update_at: None,
+            delete_at: None,
+            burst: None,
+            autoscale: None,
+            pin_nodes: None,
+        };
+        Scenario {
+            name: "endpoint-rig".into(),
+            description: "one service and one allreduce, driven event by event".into(),
+            config: ClusterConfig { seed: 5, nodes: 4, ..Default::default() },
+            claims: vec![],
+            jobs: vec![ring],
+            services: vec![svc],
+            faults: vec![],
+            horizon: ms(10_000),
+            tick: SimDur::from_millis(20),
+        }
+    }
+
+    /// Destroy the CXI service the CNI plugin made for `pod`, between
+    /// DES events and behind the engine's back; its switch grant stays,
+    /// so only the driver verdict can keep the pod's messages off the
+    /// fabric.
+    fn revoke(w: &mut World, ns: &str, pod: &str) {
+        let h = w.cluster.pod_handle(ns, pod).expect("pod running");
+        let node = &mut w.cluster.nodes[h.node_idx].inner;
+        let root = node.host.credentials(shs_oslinux::Pid(1)).expect("init exists");
+        let label = format!("cni:{ns}_{pod}");
+        let gone = node
+            .device
+            .driver
+            .svc_destroy_matching(&root, &mut node.device.nic, |s| s.label == label)
+            .expect("root may destroy");
+        assert_eq!(gone.len(), 1, "{pod} had one CNI service");
+    }
+
+    /// (delivered messages, every drop) the fabric has seen on `vni`.
+    fn fabric_seen(w: &World, vni: Vni) -> (u64, u64) {
+        let t = w.cluster.fabric.traffic(vni);
+        let switch_drops: u64 = w.cluster.fabric.switches().map(|s| s.counters.total_drops()).sum();
+        (t.messages, t.congestion_drops + switch_drops)
+    }
+
+    #[test]
+    fn a_revoked_replica_fails_every_request_it_touches_and_no_other() {
+        let sc = endpoint_rig();
+        let mut sim = schedule(&sc);
+        sim.run_until(ms(3_000));
+        let now = sim.now();
+        let w = &mut sim.world;
+        let vni = resolve_service_vni(&w.cluster, &w.services[0].plan).expect("decorated");
+        let ready = w.cluster.service_ready("web", "front");
+        assert_eq!(ready.len(), 4, "every replica ready");
+        revoke(w, "web", &ready[1]);
+
+        let t = &w.services[0];
+        let (n, demand, rr) = (ready.len(), u64::from(t.plan.requests_per_fire), t.rr);
+        // Request k goes from replica k % n to replica (k + 1) % n, so
+        // it touches replica 1 when either end is 1.
+        let touching =
+            (rr..rr + demand as usize).filter(|k| k % n == 1 || (k + 1) % n == 1).count() as u64;
+        assert!(touching > 0 && touching < demand);
+        let before = (t.requests, t.auth_failures, t.completed, t.dropped, t.latencies.len());
+        let (delivered0, drops0) = fabric_seen(w, vni);
+        let (id0, probes0) = (w.msg_id, w.m.cross_attempts);
+
+        service_fire(w, now, 0);
+
+        let t = &w.services[0];
+        assert_eq!(t.requests - before.0, demand, "every request counted");
+        assert_eq!(t.auth_failures - before.1, touching, "one failure per touching request");
+        assert_eq!(t.completed - before.2, demand - touching, "the other replicas serve");
+        assert_eq!(t.dropped - before.3, 0);
+        assert_eq!(t.latencies.len() - before.4, (demand - touching) as usize);
+        let (delivered, drops) = fabric_seen(w, vni);
+        assert_eq!(delivered - delivered0, 2 * (demand - touching), "refused legs never sent");
+        assert_eq!(drops - drops0, 0);
+        // Two message ids per request, refused or not, plus the probe.
+        assert_eq!(w.msg_id - id0, 2 * demand + (w.m.cross_attempts - probes0));
+    }
+
+    #[test]
+    fn a_revoked_rank_fails_every_send_it_makes_and_no_other() {
+        let sc = endpoint_rig();
+        let mut sim = schedule(&sc);
+        sim.run_until(ms(3_000));
+        let w = &mut sim.world;
+        let vni = resolve_vni(&w.cluster, &w.jobs[0].plan).expect("decorated");
+        revoke(w, "hpc", "ring-2");
+
+        let steps = ring_allreduce_schedule(4, 4096);
+        let sends = steps.iter().map(Vec::len).sum::<usize>() as u64;
+        let from_victim = steps.iter().flatten().filter(|&&(src, _, _)| src == 2).count() as u64;
+        assert!(from_victim > 0 && from_victim < sends);
+        let m = &w.m;
+        let before = (m.auth_failures, m.authorized_sends, m.delivered, m.dropped, m.rounds);
+        let (delivered0, drops0) = fabric_seen(w, vni);
+        let (id0, probes0) = (w.msg_id, w.m.cross_attempts);
+
+        traffic_round(&mut sim, 0);
+
+        let w = &sim.world;
+        let m = &w.m;
+        assert_eq!(m.rounds - before.4, 1, "the round ran");
+        assert_eq!(m.auth_failures - before.0, from_victim, "one failure per send it makes");
+        assert_eq!(m.authorized_sends - before.1, sends - from_victim);
+        assert_eq!(m.delivered - before.2, sends - from_victim, "the other ranks deliver");
+        assert_eq!(m.dropped - before.3, 0);
+        let (delivered, drops) = fabric_seen(w, vni);
+        assert_eq!(delivered - delivered0, sends - from_victim, "refused sends never sent");
+        assert_eq!(drops - drops0, 0);
+        // One message id per send, refused or not, plus the probe.
+        assert_eq!(w.msg_id - id0, sends + (w.m.cross_attempts - probes0));
     }
 
     #[test]

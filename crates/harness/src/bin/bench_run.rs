@@ -58,8 +58,9 @@
 //!   linearly; the emitted `"pleg_status_reads"` block records both
 //!   ratios.
 //!
-//! Scenarios (`churn`, `steady-state`) run once under the DES clock;
-//! their event counts are deterministic, their wall-clock is not.
+//! Scenarios (`churn`, `steady-state`, `rolling-update-allreduce`) run
+//! once under the DES clock; their event counts are deterministic,
+//! their wall-clock is not.
 //!
 //! The **sharded sweep**: the 1024-node `dragonfly-1024` fabric sweep
 //! runs once under the sharded engine, its barrier windows inline on
@@ -94,6 +95,12 @@ use slingshot_k8s::{
     FabricTransferHotWorkload, PlegStatusReadWorkload, ServiceMeshHotWorkload, VniDb,
     VniStressReport, VniStressScenario,
 };
+
+/// Library scenarios timed end to end, one row each. The serving
+/// entry drives every RPC through the service fire path (replica
+/// resolution, endpoint authentication, two fabric legs), which
+/// `service_mesh_hot` does not reach.
+const TIMED_SCENARIOS: [&str; 3] = ["churn", "steady-state", "rolling-update-allreduce"];
 
 /// The sharded-sweep subject: the 1024-node library sweep.
 const PARALLEL_SCENARIO: &str = "dragonfly-1024";
@@ -536,7 +543,7 @@ fn remeasure(name: &str, b: &Budgets) -> Option<(f64, Option<f64>)> {
         "fabric_adaptive_hot" => (bench_fabric_adaptive_hot(b.samples, b.store_iters), None),
         "osu_allreduce" => (bench_osu_allreduce(b.samples, b.churn_iters), None),
         "service_mesh_hot" => (bench_service_mesh_hot(b.samples, b.store_iters), None),
-        "churn" | "steady-state" => {
+        _ if TIMED_SCENARIOS.contains(&name) => {
             let (events, wall_s) = run_scenario_timed(name);
             (events as f64 / wall_s, Some(wall_s * 1e3))
         }
@@ -695,7 +702,7 @@ fn main() {
     ];
 
     let mut scenarios = Vec::new();
-    for name in ["churn", "steady-state"] {
+    for name in TIMED_SCENARIOS {
         eprintln!("bench-run: running scenario {name} ...");
         let (events, wall_s) = run_scenario_timed(name);
         scenarios.push(json!({

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use shs_des::SimTime;
 
 use crate::api::{ApiServer, WatchType};
-use crate::objects::{kinds, pod_phase, spec_of, PodPhase, PodSpec};
+use crate::objects::{kinds, pod_node_name, pod_phase, spec_of, PodPhase, PodSpec};
 
 /// Scheduler state (a controller; poll-driven).
 #[derive(Debug, Default)]
@@ -145,11 +145,10 @@ impl Scheduler {
     }
 }
 
-/// Convenience: the node a pod is bound to.
+/// Convenience: the node a pod is bound to (read with
+/// [`pod_node_name`], no spec decode).
 pub fn bound_node(api: &ApiServer, namespace: &str, name: &str) -> Option<String> {
-    let pod = api.get(kinds::POD, namespace, name)?;
-    let spec: PodSpec = spec_of(pod);
-    spec.node_name
+    pod_node_name(api.get(kinds::POD, namespace, name)?).map(str::to_owned)
 }
 
 #[cfg(test)]
